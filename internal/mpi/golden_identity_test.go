@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"runtime"
+	"sync"
 	"testing"
 
 	"gridbcast/internal/sched"
@@ -68,14 +70,23 @@ func goldenHash(res *Result) string {
 // deliveries past their deadline).
 func goldenScenarios(t *testing.T) (faultFree, faulted *Result) {
 	t.Helper()
+	faultFree, faulted, err := goldenRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return faultFree, faulted
+}
+
+// goldenRuns executes the two pinned runs; it reports errors instead of
+// failing a test so that it can run off the test goroutine.
+func goldenRuns() (faultFree, faulted *Result, err error) {
 	g := topology.Grid5000()
 	p := sched.MustProblem(g, 0, 1<<20, sched.Options{})
 	sc := sched.ECEFLAT().Schedule(p)
 
-	var err error
 	faultFree, err = ExecuteSchedule(g, sc, 1<<20, Options{FT: &FTOptions{}})
 	if err != nil {
-		t.Fatalf("fault-free FT run: %v", err)
+		return nil, nil, fmt.Errorf("fault-free FT run: %v", err)
 	}
 
 	victim := sc.Events[0].To
@@ -95,9 +106,9 @@ func goldenScenarios(t *testing.T) (faultFree, faulted *Result) {
 	}}}
 	faulted, err = ExecuteSchedule(g, sc, 1<<20, opt)
 	if err != nil {
-		t.Fatalf("faulted run: %v", err)
+		return nil, nil, fmt.Errorf("faulted run: %v", err)
 	}
-	return faultFree, faulted
+	return faultFree, faulted, nil
 }
 
 // TestGoldenByteIdentity pins both runs to their recorded digests. Any bit
@@ -120,5 +131,39 @@ func TestGoldenByteIdentity(t *testing.T) {
 			"makespan=%v reached=%d retries=%d reparents=%d lost=%d",
 			gotFaulted, goldenFaulted,
 			faulted.Makespan, faulted.NodesReached, faulted.Retries, faulted.Reparents, faulted.Lost)
+	}
+}
+
+// TestGoldenByteIdentitySharedPool executes the golden runs from several
+// goroutines at once at GOMAXPROCS 4. Their Envs then share the sim
+// kernel's pool of coroutine workers, handing workers between goroutines
+// mid-sweep; every run must still reproduce the recorded digests. Run it
+// under -race to check the pool's hand-offs.
+func TestGoldenByteIdentitySharedPool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const goroutines, rounds = 6, 3
+	errs := make(chan error, goroutines*rounds)
+	var wg sync.WaitGroup
+	for range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				faultFree, faulted, err := goldenRuns()
+				switch {
+				case err != nil:
+					errs <- err
+				case goldenHash(faultFree) != goldenFaultFreeFT:
+					errs <- fmt.Errorf("fault-free FT digest drifted: got %s, want %s", goldenHash(faultFree), goldenFaultFreeFT)
+				case goldenHash(faulted) != goldenFaulted:
+					errs <- fmt.Errorf("faulted digest drifted: got %s, want %s", goldenHash(faulted), goldenFaulted)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -1,12 +1,15 @@
 // Package sim is a process-oriented discrete-event simulation kernel with a
 // virtual clock, in the style of SimPy or OMNeT++'s process modules.
 //
-// Simulated processes are goroutines, but execution is strictly
-// single-threaded and deterministic: the kernel runs exactly one process at
-// a time and hands control back and forth over private channels. A process
-// may only block through kernel primitives (Proc.Wait, Chan.Recv); virtual
-// time advances only in the kernel loop, by popping the earliest scheduled
-// event. Ties are broken by schedule order, so runs are reproducible.
+// Simulated processes are coroutines (iter.Pull), and execution is strictly
+// single-threaded and deterministic: the kernel resumes exactly one process
+// at a time, and that process runs until it blocks or returns, switching
+// straight back to the kernel without passing through the Go scheduler. A
+// process may only block through kernel primitives (Proc.Wait, Chan.Recv);
+// virtual time advances only in the kernel loop, by popping the earliest
+// scheduled event. Ties are broken by schedule order, so runs are
+// reproducible. Coroutines come from a package-level pool of workers that
+// each run one process after another, shared by every Env in the program.
 //
 // The virtual grid (internal/vnet) and the simulated MPI ranks
 // (internal/mpi) are built on this kernel; it is the substitute for the
@@ -17,7 +20,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
+	"runtime/debug"
+	"sync"
 )
 
 // errKilled is the sentinel panic value used to unwind killed processes.
@@ -109,20 +115,20 @@ func (q *eventQueue) pop() event {
 // Env is a simulation environment: a virtual clock plus an event queue.
 // An Env must only be driven from one goroutine (the one calling Run);
 // processes interact with it exclusively through kernel primitives.
+//
+// A started process holds a pooled worker until it finishes or is killed.
+// Run returns them as its processes complete; an Env abandoned with
+// processes still blocked pins their workers until Shutdown is called.
 type Env struct {
 	now   float64
 	queue eventQueue
 	seq   int64
-	yield chan struct{}
 	live  map[*Proc]struct{}
 }
 
 // New creates an empty environment at virtual time 0.
 func New() *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		live:  map[*Proc]struct{}{},
-	}
+	return &Env{live: map[*Proc]struct{}{}}
 }
 
 // Now returns the current virtual time in seconds.
@@ -158,12 +164,87 @@ func (e *Env) scheduleDeliver(delay float64, ch deliverTarget, slot int32) {
 	e.queue.push(event{time: e.now + delay, seq: e.seq, kind: evDeliver, ch: ch, slot: slot})
 }
 
-// Proc is a simulated process. Its function runs in a dedicated goroutine
-// but only ever executes while the kernel is blocked handing it control.
+// maxIdleWorkers caps the shared free list of parked workers. It covers
+// the live process count of most executions the repository runs (one
+// process per simulated node: 88 on GRID5000, about a thousand on a
+// 64-cluster platform of 2-32-node clusters); workers released beyond it
+// are stopped. The list is bounded because every GC cycle scans each
+// parked worker's stack.
+const maxIdleWorkers = 1024
+
+// worker is a pooled coroutine that runs processes one after another. A
+// bare iter.Pull per process costs about ten allocations and a goroutine;
+// a worker pays that once and is then handed from process to process, and
+// from Env to Env, through the free list.
+type worker struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool // valid only on the worker's own coroutine
+	proc  *Proc               // the process the next resume starts
+}
+
+// workers is the free list shared by every Env in the program.
+var workers struct {
+	sync.Mutex
+	idle []*worker
+}
+
+// getWorker takes a parked worker from the free list, or starts a new one.
+func getWorker() *worker {
+	workers.Lock()
+	if n := len(workers.idle); n > 0 {
+		w := workers.idle[n-1]
+		workers.idle[n-1] = nil
+		workers.idle = workers.idle[:n-1]
+		workers.Unlock()
+		return w
+	}
+	workers.Unlock()
+	w := new(worker)
+	w.next, w.stop = iter.Pull(w.loop)
+	return w
+}
+
+// putWorker parks w on the free list, or stops it if the list is full.
+func putWorker(w *worker) {
+	w.proc = nil
+	workers.Lock()
+	if len(workers.idle) < maxIdleWorkers {
+		workers.idle = append(workers.idle, w)
+		workers.Unlock()
+		return
+	}
+	workers.Unlock()
+	w.stop()
+}
+
+// loop is the worker's coroutine body: run the assigned process to its end,
+// yield to the kernel, and start whichever process the next resume brings.
+// stop makes the parked yield return false, which ends the coroutine.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		w.proc.run()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// Proc is a simulated process. Its function runs on a pooled coroutine,
+// and only while the kernel has resumed it; every kernel primitive that
+// waits switches back to the kernel and returns when the process is next
+// resumed.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan bool
+	env  *Env
+	name string
+	fn   func(p *Proc)
+	// w is the worker running the process: nil until its first resume and
+	// again once it has finished.
+	w *worker
+	// killed makes the next return from block unwind the process with
+	// errKilled (see Kill).
+	killed bool
 	done   bool
 	// waitSeq counts channel-wait registrations; RecvUntil timeout events
 	// carry the sequence they were armed for, so a timer outlives its wait
@@ -184,44 +265,58 @@ func (p *Proc) Now() float64 { return p.env.now }
 // time (once Run is pumping events). It may be called before Run or from
 // inside another process.
 func (e *Env) Process(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan bool)}
+	p := &Proc{env: e, name: name, fn: fn}
 	e.live[p] = struct{}{}
-	go func() {
-		defer func() {
-			if r := recover(); r != nil && r != errKilled {
-				// A genuine bug in simulation code: crash loudly rather
-				// than deadlocking the kernel.
-				panic(fmt.Sprintf("sim: process %q panicked: %v", name, r))
-			}
-			p.done = true
-			e.yield <- struct{}{}
-		}()
-		if !<-p.resume {
-			panic(errKilled)
-		}
-		fn(p)
-	}()
 	e.scheduleResume(0, p)
 	return p
 }
 
-// transfer hands control to p and waits until it blocks or finishes.
-func (e *Env) transfer(p *Proc, alive bool) {
+// run executes the process body on its worker. A kill unwinds to here and
+// ends the process quietly; any other panic is a bug in simulation code,
+// re-raised with the process name and stack so that it surfaces from Run
+// on the kernel's goroutine.
+func (p *Proc) run() {
+	defer func() {
+		p.done = true
+		if r := recover(); r != nil && r != errKilled {
+			// The worker's coroutine dies with this panic and transfer
+			// never returns to retire the process, so retire it here.
+			delete(p.env.live, p)
+			panic(fmt.Sprintf("sim: process %q panicked: %v\n\n%s", p.name, r, debug.Stack()))
+		}
+	}()
+	p.fn(p)
+}
+
+// transfer hands control to p and returns when it blocks or finishes. A
+// process's first resume binds it to a worker; finishing returns the worker
+// to the free list. A process killed before it ever ran needs no worker.
+func (e *Env) transfer(p *Proc) {
 	if p.done {
 		return
 	}
-	p.resume <- alive
-	<-e.yield
+	if p.w == nil {
+		if p.killed {
+			p.done = true
+			delete(e.live, p)
+			return
+		}
+		p.w = getWorker()
+		p.w.proc = p
+	}
+	p.w.next()
 	if p.done {
 		delete(e.live, p)
+		putWorker(p.w)
+		p.w = nil
 	}
 }
 
 // block yields control to the kernel and waits to be resumed. It panics
-// with errKilled if the environment is shutting down.
+// with errKilled if the process has been killed meanwhile.
 func (p *Proc) block() {
-	p.env.yield <- struct{}{}
-	if !<-p.resume {
+	p.w.yield(struct{}{})
+	if p.killed {
 		panic(errKilled)
 	}
 }
@@ -237,7 +332,8 @@ func (p *Proc) Wait(d float64) {
 
 // Run pumps events until the queue is empty and returns the final virtual
 // time. Processes still blocked on channels when the queue drains are left
-// alive; call Shutdown to terminate them.
+// alive; call Shutdown to terminate them. A process that panics (other
+// than by being killed) makes Run panic with a message naming it.
 func (e *Env) Run() float64 { return e.RunUntil(math.Inf(1)) }
 
 // RunUntil pumps events with timestamps <= limit and returns the virtual
@@ -248,18 +344,23 @@ func (e *Env) RunUntil(limit float64) float64 {
 			e.now = limit
 			return e.now
 		}
-		ev := e.queue.pop()
-		e.now = ev.time
-		switch ev.kind {
-		case evResume:
-			e.transfer(ev.proc, true)
-		case evDeliver:
-			ev.ch.deliverSlot(ev.slot)
-		default:
-			ev.fn()
-		}
+		e.step()
 	}
 	return e.now
+}
+
+// step pops the earliest event, advances the clock to it and runs it.
+func (e *Env) step() {
+	ev := e.queue.pop()
+	e.now = ev.time
+	switch ev.kind {
+	case evResume:
+		e.transfer(ev.proc)
+	case evDeliver:
+		ev.ch.deliverSlot(ev.slot)
+	default:
+		ev.fn()
+	}
 }
 
 // RunCtx is Run with cooperative cancellation: ctx is polled every `every`
@@ -279,37 +380,30 @@ func (e *Env) RunCtx(ctx context.Context, every int) (float64, error) {
 			return e.now, err
 		}
 		for i := 0; i < every && len(e.queue) > 0; i++ {
-			ev := e.queue.pop()
-			e.now = ev.time
-			switch ev.kind {
-			case evResume:
-				e.transfer(ev.proc, true)
-			case evDeliver:
-				ev.ch.deliverSlot(ev.slot)
-			default:
-				ev.fn()
-			}
+			e.step()
 		}
 	}
 	return e.now, nil
 }
 
-// Kill terminates p immediately: its blocking primitive panics internally
-// and the goroutine unwinds (a no-op if p already finished). Kill must be
+// Kill terminates p immediately: it is resumed with its killed flag set, so
+// its blocking primitive panics internally and the process unwinds and
+// hands its worker back (a no-op if p already finished). Kill must be
 // called from kernel context — a Schedule callback, or between Run calls —
 // never from another process's simulation code. Events still queued for p
 // become no-ops; channels p was waiting on simply drop it.
 func (e *Env) Kill(p *Proc) {
-	e.transfer(p, false)
+	p.killed = true
+	e.transfer(p)
 }
 
-// Shutdown terminates every unfinished process (their blocking primitive
-// panics internally and the goroutine exits). The event queue is cleared.
-// The environment can be inspected afterwards but not reused.
+// Shutdown terminates every unfinished process (see Kill), which returns
+// their workers to the pool. The event queue is cleared. The environment
+// can be inspected afterwards but not reused.
 func (e *Env) Shutdown() {
 	e.queue = nil
 	for p := range e.live {
-		e.transfer(p, false)
+		e.Kill(p)
 	}
 }
 
