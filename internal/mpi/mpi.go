@@ -141,9 +141,9 @@ func ExecuteSchedule(g *topology.Grid, sc *sched.Schedule, m int64, opt Options)
 	if err := runEnv(env, opt.Ctx); err != nil {
 		return nil, err
 	}
-	if env.Live() != 0 {
+	if live := env.Live(); live != 0 {
 		env.Shutdown()
-		return nil, fmt.Errorf("mpi: %d processes never completed (lost message?)", env.Live())
+		return nil, fmt.Errorf("mpi: %d processes never completed (lost message?)", live)
 	}
 	if ex != nil {
 		ex.finish()
@@ -277,9 +277,9 @@ func ExecuteBinomialGridUnaware(g *topology.Grid, rootCluster int, m int64, opt 
 	if err := runEnv(env, opt.Ctx); err != nil {
 		return nil, err
 	}
-	if env.Live() != 0 {
+	if live := env.Live(); live != 0 {
 		env.Shutdown()
-		return nil, fmt.Errorf("mpi: %d processes never completed", env.Live())
+		return nil, fmt.Errorf("mpi: %d processes never completed", live)
 	}
 	for c := range res.Completed {
 		res.Completed[c] = true

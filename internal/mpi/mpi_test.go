@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -150,6 +151,36 @@ func TestExecuteBinomialValidation(t *testing.T) {
 	}
 	if _, err := ExecuteBinomialGridUnaware(&topology.Grid{}, 0, 1, Options{}); err == nil {
 		t.Error("invalid grid accepted")
+	}
+}
+
+// TestStuckExecutionReportsLiveCount: the grid-unaware binomial executor
+// has no recovery protocol, so a crashed rank leaves itself and its whole
+// subtree blocked in Recv. The error must count those processes, which
+// means reading the count before Shutdown unwinds them.
+func TestStuckExecutionReportsLiveCount(t *testing.T) {
+	g := topology.Grid5000()
+	tree := intracluster.New(intracluster.Binomial, g.TotalNodes())
+	const crashed = 32
+	var subtree func(r int) int
+	subtree = func(r int) int {
+		n := 1
+		for _, c := range tree.Children[r] {
+			n += subtree(c)
+		}
+		return n
+	}
+	want := subtree(crashed)
+	if want < 2 {
+		t.Fatalf("rank %d has no subtree; pick a rank with children", crashed)
+	}
+	opt := Options{Net: vnet.Config{Faults: &vnet.FaultPlan{Crashes: []vnet.Crash{{Node: crashed}}}}}
+	_, err := ExecuteBinomialGridUnaware(g, 0, 1<<20, opt)
+	if err == nil {
+		t.Fatal("execution with a crashed subtree reported success")
+	}
+	if got, wantMsg := err.Error(), fmt.Sprintf("mpi: %d processes never completed", want); got != wantMsg {
+		t.Errorf("error %q, want %q", got, wantMsg)
 	}
 }
 

@@ -85,9 +85,9 @@ func ExecuteSegmentedSchedule(g *topology.Grid, ss *sched.SegmentedSchedule, opt
 	if err := runEnv(env, opt.Ctx); err != nil {
 		return nil, err
 	}
-	if env.Live() != 0 {
+	if live := env.Live(); live != 0 {
 		env.Shutdown()
-		return nil, fmt.Errorf("mpi: %d processes never completed (lost segment?)", env.Live())
+		return nil, fmt.Errorf("mpi: %d processes never completed (lost segment?)", live)
 	}
 	for c := range res.Completed {
 		res.Completed[c] = true

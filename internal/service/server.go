@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -245,16 +247,46 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, planStatus(err), err.Error())
 		return
 	}
+	encode := func() ([]byte, error) { return json.Marshal(EncodePlan(pl)) }
+	var planJSON []byte
+	if outcome == gridbcast.PlanHit {
+		// Only a hit fills the memo: a plan requested once keeps no bytes.
+		planJSON, err = pl.WireBytes(encode)
+	} else {
+		planJSON, err = encode()
+	}
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "encode plan: "+err.Error())
+		return
+	}
 	s.metrics.Observe(p.Name, pr.heuristicLabel(), outcome.String(), elapsed)
 	s.metrics.Counters().OK.Add(1)
-	writeJSON(w, http.StatusOK, PlanResponse{
+	// Marshalling the head cannot fail: its fields are strings, an integer
+	// and a finite duration.
+	head, _ := json.Marshal(PlanResponse{
 		Platform:    p.Name,
 		Generation:  p.Generation,
 		Fingerprint: fmt.Sprintf("%016x", p.Session.Fingerprint()),
 		Outcome:     outcome.String(),
 		ElapsedUS:   us(elapsed),
-		Plan:        EncodePlan(pl),
 	})
+	writePlanResponse(w, head, planJSON)
+}
+
+// writePlanResponse writes a 200 PlanResponse body from head, the response
+// marshalled with a nil Plan, and planJSON, the marshalled plan. Plan is
+// the last field, so the body is head with its closing `null}` replaced by
+// planJSON: byte for byte what json.Encoder writes for the full response,
+// trailing newline included, without re-encoding or re-scanning the plan.
+func writePlanResponse(w http.ResponseWriter, head, planJSON []byte) {
+	head = bytes.TrimSuffix(head, []byte("null}"))
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(planJSON)+2))
+	w.WriteHeader(http.StatusOK)
+	// A failed write means the client has gone; there is nobody to tell.
+	w.Write(head)
+	w.Write(planJSON)
+	w.Write([]byte("}\n"))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

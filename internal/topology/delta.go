@@ -93,9 +93,11 @@ func (g *Grid) ApplyDelta(d Delta) (*Grid, error) {
 // from src only in wide-area row and column c (the ApplyDelta contract):
 // for every message size src has already costed, the unchanged entries are
 // copied and only row/column c re-evaluated against dst's parameters. The
-// result is bitwise identical to dst costing each size from scratch —
-// unchanged links carry unchanged parameters, so re-evaluating them would
-// reproduce the exact same floats — at O(n) evaluations instead of O(n²).
+// latency matrix is patched once and aliased by every size, as EdgeCosts
+// does; src's matrices are never written. The result is bitwise identical
+// to dst costing each size from scratch — unchanged links carry unchanged
+// parameters, so re-evaluating them would reproduce the exact same floats —
+// at O(n) evaluations instead of O(n²).
 func PatchCosts(src, dst *Grid, c int) {
 	src.costMu.Lock()
 	sizes := make([]int64, 0, len(src.costs))
@@ -104,20 +106,40 @@ func PatchCosts(src, dst *Grid, c int) {
 		sizes = append(sizes, m)
 		cached = append(cached, ec)
 	}
+	srcLat := src.lat
 	src.costMu.Unlock()
+	if len(sizes) == 0 {
+		return
+	}
 
 	n := dst.N()
+	lat := make([][]float64, n)
+	for i := 0; i < n; i++ {
+		lat[i] = append([]float64(nil), srcLat[i]...)
+	}
+	for j := 0; j < n; j++ {
+		if j != c {
+			lat[c][j] = dst.Latency(c, j)
+			lat[j][c] = dst.Latency(j, c)
+		}
+	}
+	dst.costMu.Lock()
+	if dst.lat == nil {
+		dst.lat = lat
+	}
+	lat = dst.lat
+	dst.costMu.Unlock()
+
 	for k, m := range sizes {
 		old := cached[k]
 		ec := &EdgeCosts{
 			G:  make([][]float64, n),
-			L:  make([][]float64, n),
+			L:  lat,
 			W:  make([][]float64, n),
 			WT: make([][]float64, n),
 		}
 		for i := 0; i < n; i++ {
 			ec.G[i] = append([]float64(nil), old.G[i]...)
-			ec.L[i] = append([]float64(nil), old.L[i]...)
 			ec.W[i] = append([]float64(nil), old.W[i]...)
 		}
 		for j := 0; j < n; j++ {
@@ -125,11 +147,9 @@ func PatchCosts(src, dst *Grid, c int) {
 				continue
 			}
 			ec.G[c][j] = dst.Gap(c, j, m)
-			ec.L[c][j] = dst.Latency(c, j)
-			ec.W[c][j] = ec.G[c][j] + ec.L[c][j]
+			ec.W[c][j] = ec.G[c][j] + lat[c][j]
 			ec.G[j][c] = dst.Gap(j, c, m)
-			ec.L[j][c] = dst.Latency(j, c)
-			ec.W[j][c] = ec.G[j][c] + ec.L[j][c]
+			ec.W[j][c] = ec.G[j][c] + lat[j][c]
 		}
 		for j := 0; j < n; j++ {
 			ec.WT[j] = make([]float64, n)

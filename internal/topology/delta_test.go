@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"testing"
 
 	"gridbcast/internal/stats"
@@ -94,12 +95,30 @@ func TestPatchCostsBitwiseIdentical(t *testing.T) {
 		}
 		c := r.Intn(g.N())
 		d := Delta{Cluster: c, OutGapScale: 1.7, OutLatScale: 0.6, InGapScale: 1.1, InLatScale: 2.0}
+		srcL := g.EdgeCosts(sizes[0]).L
+		before := make([][]float64, len(srcL))
+		for i := range srcL {
+			before[i] = append([]float64(nil), srcL[i]...)
+		}
 
 		patched, err := g.ApplyDelta(d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		PatchCosts(g, patched, c)
+		for i := range srcL {
+			for j := range srcL[i] {
+				if math.Float64bits(srcL[i][j]) != math.Float64bits(before[i][j]) {
+					t.Fatalf("PatchCosts wrote the source grid's shared L at (%d,%d)", i, j)
+				}
+			}
+		}
+		if &patched.EdgeCosts(sizes[0]).L[0] != &patched.EdgeCosts(sizes[2]).L[0] {
+			t.Error("patched sizes carry separate latency matrices")
+		}
+		if &patched.EdgeCosts(sizes[0]).L[0] == &srcL[0] {
+			t.Error("patched grid aliases the source grid's latency matrix")
+		}
 
 		fresh, err := g.ApplyDelta(d)
 		if err != nil {

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"gridbcast/internal/plogp"
 )
@@ -48,17 +49,23 @@ type Grid struct {
 	Inter [][]plogp.Params `json:"inter"`
 
 	// costMu guards costs, the per-message-size cache of evaluated pLogP
-	// matrices. The cache is never invalidated: platform descriptions are
-	// immutable once costed (construction-time edits happen before the
-	// first EdgeCosts call).
+	// matrices, and lat, the latency matrix every cached entry aliases
+	// (latency does not depend on message size). The cache is never
+	// invalidated: platform descriptions are immutable once costed
+	// (construction-time edits happen before the first EdgeCosts call).
 	costMu sync.Mutex
 	costs  map[int64]*EdgeCosts
+	lat    [][]float64
+	// valid records a successful Validate of a costed grid, under the same
+	// immutable-once-costed contract; failures are never recorded.
+	valid atomic.Bool
 }
 
 // EdgeCosts is the wide-area pLogP matrices of a grid evaluated at one
 // message size. G[i][j] = g_{i,j}(m), L[i][j] = latency, W = G + L, and WT
 // is W transposed (WT[j][i] = W[i][j], for receiver-major scans). The
-// matrices are shared by every caller — treat them as read-only.
+// matrices are shared by every caller — treat them as read-only. L is the
+// same matrix in every entry of one grid.
 type EdgeCosts struct {
 	G, L, W, WT [][]float64
 }
@@ -75,15 +82,25 @@ func (g *Grid) EdgeCosts(m int64) *EdgeCosts {
 		return ec
 	}
 	n := g.N()
+	if g.lat == nil {
+		g.lat = make([][]float64, n)
+		for i := 0; i < n; i++ {
+			g.lat[i] = make([]float64, n)
+			for j := 0; j < n; j++ {
+				if i != j {
+					g.lat[i][j] = g.Latency(i, j)
+				}
+			}
+		}
+	}
 	ec := &EdgeCosts{
 		G:  make([][]float64, n),
-		L:  make([][]float64, n),
+		L:  g.lat,
 		W:  make([][]float64, n),
 		WT: make([][]float64, n),
 	}
 	for i := 0; i < n; i++ {
 		ec.G[i] = make([]float64, n)
-		ec.L[i] = make([]float64, n)
 		ec.W[i] = make([]float64, n)
 		ec.WT[i] = make([]float64, n)
 	}
@@ -93,7 +110,6 @@ func (g *Grid) EdgeCosts(m int64) *EdgeCosts {
 				continue
 			}
 			ec.G[i][j] = g.Gap(i, j, m)
-			ec.L[i][j] = g.Latency(i, j)
 			ec.W[i][j] = ec.G[i][j] + ec.L[i][j]
 			ec.WT[j][i] = ec.W[i][j]
 		}
@@ -124,8 +140,27 @@ func (g *Grid) Latency(i, j int) float64 { return g.Inter[i][j].L }
 func (g *Grid) Gap(i, j int, m int64) float64 { return g.Inter[i][j].Gap(m) }
 
 // Validate checks structural consistency: matching matrix shape, positive
-// node counts, valid link parameters.
+// node counts, valid link parameters. Once the grid has been costed
+// (EdgeCosts or PatchCosts), a success is remembered and later calls
+// return nil without re-walking the link table; a failure is re-checked
+// on every call.
 func (g *Grid) Validate() error {
+	if g.valid.Load() {
+		return nil
+	}
+	if err := g.validate(); err != nil {
+		return err
+	}
+	g.costMu.Lock()
+	costed := g.costs != nil
+	g.costMu.Unlock()
+	if costed {
+		g.valid.Store(true)
+	}
+	return nil
+}
+
+func (g *Grid) validate() error {
 	n := g.N()
 	if n == 0 {
 		return errors.New("topology: grid has no clusters")

@@ -279,8 +279,13 @@ func TestEdgeCostsCachedAndConsistent(t *testing.T) {
 	if b := g.EdgeCosts(m); a != b {
 		t.Error("repeated size did not hit the cache")
 	}
-	if c := g.EdgeCosts(1 << 10); c == a {
+	c := g.EdgeCosts(1 << 10)
+	if c == a {
 		t.Error("different sizes share a cache entry")
+	}
+	// Latency does not depend on size: every entry aliases one L.
+	if &c.L[0] != &a.L[0] {
+		t.Error("sizes 1 KiB and 1 MiB carry separate latency matrices")
 	}
 	for i := 0; i < g.N(); i++ {
 		for j := 0; j < g.N(); j++ {
@@ -305,4 +310,31 @@ func TestEdgeCostsCachedAndConsistent(t *testing.T) {
 		}(k)
 	}
 	wg.Wait()
+}
+
+// TestValidateRemembersCostedSuccess: a costed grid's success is kept (the
+// grid is immutable from then on), an uncosted grid is re-walked, since
+// construction-time edits may still follow, and a failure is never kept.
+func TestValidateRemembersCostedSuccess(t *testing.T) {
+	g := twoClusterGrid()
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	g.Clusters[0].Nodes = 0 // construction-time edit before costing
+	if err := g.Validate(); err == nil {
+		t.Fatal("edit after an uncosted Validate was not re-checked")
+	}
+	for k := 0; k < 2; k++ {
+		if err := g.Validate(); err == nil {
+			t.Fatalf("call %d: invalid grid accepted", k)
+		}
+	}
+	g.Clusters[0].Nodes = 4
+	g.EdgeCosts(1 << 20)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !g.valid.Load() {
+		t.Error("success on a costed grid was not remembered")
+	}
 }

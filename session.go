@@ -386,6 +386,30 @@ type Plan struct {
 	// trace is the construction replay log recorded under WithReplan for
 	// traceable unsegmented builds; nil otherwise (Replan then rebuilds).
 	trace *sched.BuildTrace
+	// wire memoises the plan's serialized form (WireBytes). It lives and
+	// dies with the plan, so a plan-cache entry's eviction, invalidation
+	// or Replan migration (which builds a new *Plan) drops it too.
+	wire atomic.Pointer[[]byte]
+}
+
+// WireBytes returns the plan's memoised wire encoding, calling encode to
+// fill the memo when it is empty. A plan is immutable, so one encoding
+// serves every later call; callers must always pass the same encoder.
+// Concurrent first calls may each run encode, but all of them return the
+// one result that was kept. An encode error is returned and nothing is
+// kept.
+func (p *Plan) WireBytes(encode func() ([]byte, error)) ([]byte, error) {
+	if b := p.wire.Load(); b != nil {
+		return *b, nil
+	}
+	b, err := encode()
+	if err != nil {
+		return nil, err
+	}
+	if !p.wire.CompareAndSwap(nil, &b) {
+		return *p.wire.Load(), nil
+	}
+	return b, nil
 }
 
 // validate pins down request errors at the facade boundary, before any
@@ -948,15 +972,20 @@ func (s *Session) Refine(ctx context.Context, plan *Plan, budget int) (*Plan, er
 	if err != nil {
 		return nil, err
 	}
-	out := *plan
-	out.Schedule = sc
-	out.Heuristic = sc.Heuristic
-	out.Makespan = sc.Makespan
 	// The refined schedule is not the traced one, and the output no longer
-	// matches any stored request shape; Replan rejects it (re-plan with
-	// WithRefine + WithReplan to keep a drift-absorbing refined plan).
-	out.trace = nil
-	out.owner = nil
-	out.req = Request{}
-	return &out, nil
+	// matches any stored request shape, so trace, owner and request stay
+	// unset: Replan rejects it (re-plan with WithRefine + WithReplan to
+	// keep a drift-absorbing refined plan). The wire memo starts empty.
+	return &Plan{
+		Heuristic: sc.Heuristic,
+		Root:      plan.Root, Size: plan.Size,
+		Schedule: sc, Segmented: plan.Segmented,
+		SegSize: plan.SegSize, K: plan.K,
+		LocalSegmented: plan.LocalSegmented,
+		Makespan:       sc.Makespan,
+		Candidates:     plan.Candidates,
+		Overlap:        plan.Overlap,
+		Stats:          plan.Stats,
+		net:            plan.net, netSet: plan.netSet,
+	}, nil
 }

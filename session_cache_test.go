@@ -252,6 +252,11 @@ func TestRefineCachedPlanCopyOnWrite(t *testing.T) {
 	}
 	scheduleBefore := *cachedPlan.Schedule
 	eventsBefore := append(scheduleBefore.Events[:0:0], scheduleBefore.Events...)
+	// Fill the cached plan's wire memo: the refined copy must not inherit
+	// bytes that encode the unrefined schedule.
+	if _, err := cachedPlan.WireBytes(func() ([]byte, error) { return []byte("cached"), nil }); err != nil {
+		t.Fatal(err)
+	}
 
 	refined, err := sess.Refine(nil, cachedPlan, 0)
 	if err != nil {
@@ -259,6 +264,12 @@ func TestRefineCachedPlanCopyOnWrite(t *testing.T) {
 	}
 	if refined == cachedPlan || refined.Schedule == cachedPlan.Schedule {
 		t.Fatal("Refine returned the cached object")
+	}
+	if refined.Root != cachedPlan.Root || refined.Size != cachedPlan.Size || refined.K != cachedPlan.K {
+		t.Fatalf("refined plan dropped request fields: %+v", refined)
+	}
+	if b, _ := refined.WireBytes(func() ([]byte, error) { return []byte("fresh"), nil }); string(b) != "fresh" {
+		t.Fatalf("refined plan inherited the cached plan's wire memo %q", b)
 	}
 	if refined.Makespan > cachedPlan.Makespan {
 		t.Fatalf("refinement regressed: %g > %g", refined.Makespan, cachedPlan.Makespan)
