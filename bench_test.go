@@ -16,7 +16,6 @@ import (
 	"time"
 
 	gridbcast "gridbcast"
-	"gridbcast/internal/collective"
 	"gridbcast/internal/experiment"
 	"gridbcast/internal/intracluster"
 	"gridbcast/internal/mpi"
@@ -25,7 +24,6 @@ import (
 	"gridbcast/internal/sim"
 	"gridbcast/internal/stats"
 	"gridbcast/internal/topology"
-	"gridbcast/internal/vnet"
 )
 
 // benchMC is the reduced Monte-Carlo configuration used per benchmark op.
@@ -324,46 +322,6 @@ func BenchmarkRootRotation(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectives measures the §8-future-work patterns on the
-// 88-machine grid: scheduling plus full message-level execution.
-func BenchmarkCollectives(b *testing.B) {
-	g := topology.Grid5000()
-	plan, err := collective.NewPlan(g, 0, 64<<10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("scatter-LTF", func(b *testing.B) {
-		strat := collective.Direct{Order: collective.OrderLongestTail}
-		for i := 0; i < b.N; i++ {
-			sc := strat.Schedule(plan)
-			if _, err := collective.ExecuteScatter(plan, sc, vnet.Config{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gather-ready", func(b *testing.B) {
-		strat := collective.Gather{Order: collective.GatherEarliestReady}
-		for i := 0; i < b.N; i++ {
-			sc := strat.Schedule(plan)
-			if _, err := collective.ExecuteGather(plan, sc, vnet.Config{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("alltoall-ring", func(b *testing.B) {
-		ap, err := collective.NewAllToAllPlan(g, 1<<10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			sc := collective.RingAllToAll{}.Schedule(ap)
-			if _, err := collective.ExecuteAllToAll(ap, sc, vnet.Config{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkSegmentedSchedule measures segment-aware schedule construction
 // (exact per-segment timing included) on the 88-machine grid at 16 MB / 128
 // segments, plus the quality it buys: the makespan ratio against the best
@@ -384,11 +342,14 @@ func BenchmarkSegmentedSchedule(b *testing.B) {
 }
 
 // BenchmarkPipelinedLadder measures the full segment-size ladder search
-// (DefaultSegmentLadder, 12 candidates at 16 MB) behind Pipelined.Best.
+// (DefaultSegmentLadder, 12 candidates at 16 MB) behind
+// Pipelined.BestContext, on one engine pool held across searches as a
+// Session holds its pools.
 func BenchmarkPipelinedLadder(b *testing.B) {
 	g := topology.Grid5000()
+	ep := sched.NewEnginePool()
 	for i := 0; i < b.N; i++ {
-		if _, err := (sched.Pipelined{}).Best(g, 0, 16<<20, sched.Options{}); err != nil {
+		if _, err := (sched.Pipelined{}).BestContext(context.Background(), ep, g, 0, 16<<20, sched.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -407,10 +368,11 @@ func BenchmarkSegmentedExecution(b *testing.B) {
 	}
 }
 
-// BenchmarkEnginePool measures the engine pool against fresh engine builds
-// on a root-rotation workload at 128 clusters (the reuse case the pool's
-// lookahead templates target); the pooled variant reuses one pool across
-// all roots.
+// BenchmarkEnginePool measures a root-rotation workload at 128 clusters
+// (the reuse case the pool's lookahead templates target) through
+// Heuristic.Schedule, which checks a pool out of the package's sync.Pool
+// per schedule ("fresh"), against one pool held across all roots
+// ("pooled").
 func BenchmarkEnginePool(b *testing.B) {
 	g := topology.RandomGrid(stats.NewRand(1), 128)
 	probs := make([]*sched.Problem, 8)
@@ -436,17 +398,26 @@ func BenchmarkEnginePool(b *testing.B) {
 }
 
 // BenchmarkParallelBuild measures single-schedule construction latency with
-// the per-round receiver scans sharded across worker pools — the regime
-// where one large construction is the unit of work. workers=1 is the
-// sequential incremental engine baseline; the schedules are bit-identical
-// at every worker count.
+// the per-round receiver scans sharded across a scan pool (EnginePool.Scan)
+// spawned and closed per build — the regime where one large construction
+// is the unit of work. One engine pool is held across builds, as a Session
+// holds its pools. workers=1 is the sequential incremental engine baseline;
+// the schedules are bit-identical at every worker count.
 func BenchmarkParallelBuild(b *testing.B) {
 	for _, n := range []int{128, 512} {
 		p := sched.MustProblem(topology.RandomGrid(stats.NewRand(1), n), 0, 1<<20, sched.Options{Overlap: true})
 		for _, w := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
+				ep := sched.NewEnginePool()
 				for i := 0; i < b.N; i++ {
-					sched.ParallelBuild(sched.ECEFLAT(), p, w)
+					if w > 1 {
+						ep.Scan = sched.NewParallelBuilder(w)
+					}
+					ep.Schedule(sched.ECEFLAT(), p)
+					if ep.Scan != nil {
+						ep.Scan.Close()
+						ep.Scan = nil
+					}
 				}
 			})
 		}
@@ -576,19 +547,22 @@ func BenchmarkSessionPlan(b *testing.B) {
 }
 
 // BenchmarkWorkStealingBuild measures steady-state chunk-claiming on a
-// persistent pool: one ParallelBuilder reused across all builds of a
-// 512-cluster schedule, isolating the work-stealing round dispatch from
-// the per-call pool spawn BenchmarkParallelBuild pays. workers=1 is the
-// sequential engine baseline; the schedules are bit-identical throughout.
+// persistent pool: one ParallelBuilder attached to one EnginePool (Scan)
+// and reused across all builds of a 512-cluster schedule, isolating the
+// work-stealing round dispatch from the per-call pool spawn
+// BenchmarkParallelBuild pays. workers=1 is the sequential engine
+// baseline; the schedules are bit-identical throughout.
 func BenchmarkWorkStealingBuild(b *testing.B) {
 	p := sched.MustProblem(topology.RandomGrid(stats.NewRand(1), 512), 0, 1<<20, sched.Options{Overlap: true})
 	for _, w := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			pb := sched.NewParallelBuilder(w)
 			defer pb.Close()
+			ep := sched.NewEnginePool()
+			ep.Scan = pb
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pb.Schedule(sched.ECEFLAT(), p)
+				ep.Schedule(sched.ECEFLAT(), p)
 			}
 		})
 	}

@@ -38,14 +38,9 @@
 // large platforms, and WithContext to make long searches cancellable.
 // Session.PlanBatch fans independent requests across the engine pool with
 // deterministic results at any worker count.
-//
-// The per-call functions below (Predict, Simulate, Best, ...) predate the
-// Session API and remain as thin deprecated wrappers over it.
 package gridbcast
 
 import (
-	"context"
-
 	"gridbcast/internal/mpi"
 	"gridbcast/internal/sched"
 	"gridbcast/internal/stats"
@@ -95,171 +90,3 @@ func RandomGrid(seed int64, n int) *Grid {
 
 // LoadGrid reads a platform from a JSON file (see Grid.SaveFile).
 func LoadGrid(path string) (*Grid, error) { return topology.LoadFile(path) }
-
-// ---------------------------------------------------------------------------
-// Legacy per-call API: thin wrappers over a Session. Every wrapper returns
-// results bit-identical to the equivalent Session calls (pinned by the
-// equivalence tests in session_test.go).
-
-// Predict schedules a broadcast of size bytes from cluster root using the
-// named heuristic and returns the schedule with its analytic (predicted)
-// timing.
-//
-// Deprecated: use Session.Plan with WithHeuristic.
-func Predict(g *Grid, root int, size int64, heuristic string) (*Schedule, error) {
-	h, err := ParseHeuristic(heuristic)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := plan(g, WithHeuristic(h), WithRoot(root), WithSize(size))
-	if err != nil {
-		return nil, err
-	}
-	return plan.Schedule, nil
-}
-
-// PredictParallel is Predict with the schedule construction itself
-// parallelised: the per-round candidate scans are sharded across a pool of
-// workers goroutines (workers <= 0 means GOMAXPROCS). The schedule is
-// bit-identical to Predict's at any worker count — only the construction
-// latency changes, which pays off from a few hundred clusters up.
-//
-// Deprecated: use Session.Plan with WithHeuristic and WithScanWorkers.
-func PredictParallel(g *Grid, root int, size int64, heuristic string, workers int) (*Schedule, error) {
-	h, err := ParseHeuristic(heuristic)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := plan(g, WithHeuristic(h), WithRoot(root), WithSize(size), WithScanWorkers(workers))
-	if err != nil {
-		return nil, err
-	}
-	return plan.Schedule, nil
-}
-
-// Simulate schedules the broadcast like Predict and then executes it
-// message-by-message on the discrete-event virtual grid, returning the
-// measured result. Optional NetConfig values add jitter or per-message
-// software overhead; with none, the measured makespan equals the
-// prediction.
-//
-// Deprecated: use Session.Plan followed by Session.Execute.
-func Simulate(g *Grid, root int, size int64, heuristic string, net ...NetConfig) (*Result, error) {
-	h, err := ParseHeuristic(heuristic)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := NewSession(g)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := sess.Plan(NewRequest(WithHeuristic(h), WithRoot(root), WithSize(size)))
-	if err != nil {
-		return nil, err
-	}
-	return sess.Execute(plan, net...)
-}
-
-// SimulateBinomial executes the grid-unaware binomial broadcast (the
-// "default MPI" baseline of the paper's Figure 6) and returns the measured
-// result.
-//
-// Deprecated: use Session.ExecuteBinomial.
-func SimulateBinomial(g *Grid, root int, size int64, net ...NetConfig) (*Result, error) {
-	sess, err := NewSession(g)
-	if err != nil {
-		return nil, err
-	}
-	return sess.ExecuteBinomial(root, size, net...)
-}
-
-// PredictSegmented schedules a pipelined broadcast that splits the message
-// into segSize-byte segments, using the segment-aware variant of the named
-// heuristic (see DESIGN.md §7). segSize >= size reproduces Predict exactly.
-//
-// Deprecated: use Session.Plan with WithHeuristic and WithSegments.
-func PredictSegmented(g *Grid, root int, size, segSize int64, heuristic string) (*SegmentedSchedule, error) {
-	h, err := ParseHeuristic(heuristic)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := plan(g, WithHeuristic(h), WithRoot(root), WithSize(size), WithSegments(segSize))
-	if err != nil {
-		return nil, err
-	}
-	return plan.Segmented, nil
-}
-
-// PredictPipelined picks the best segment size for the broadcast from the
-// default candidate ladder (which always includes "unsegmented", so the
-// result is never worse than Predict). Large messages on multi-hop grids
-// profit the most: downstream forwarding overlaps upstream segments.
-//
-// Deprecated: use Session.Plan with WithHeuristic and WithPipelined.
-func PredictPipelined(g *Grid, root int, size int64, heuristic string) (*SegmentedSchedule, error) {
-	h, err := ParseHeuristic(heuristic)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := plan(g, WithHeuristic(h), WithRoot(root), WithSize(size), WithPipelined())
-	if err != nil {
-		return nil, err
-	}
-	return plan.Segmented, nil
-}
-
-// SimulateSegmented executes a segmented schedule segment-by-segment on the
-// discrete-event virtual grid. With no NetConfig the measured makespan
-// matches the analytic prediction.
-//
-// Deprecated: use Session.Execute on a Plan built with WithSegments or
-// WithPipelined.
-func SimulateSegmented(g *Grid, ss *SegmentedSchedule, net ...NetConfig) (*Result, error) {
-	sess, err := NewSession(g)
-	if err != nil {
-		return nil, err
-	}
-	return sess.Execute(&Plan{Segmented: ss}, net...)
-}
-
-// Best schedules with every paper heuristic and returns the schedule with
-// the smallest predicted makespan. The winning heuristic's name is in the
-// returned schedule's Heuristic field; callers that also want the losers'
-// makespans should use Session.Plan without WithHeuristic, whose Plan
-// records every candidate in Plan.Candidates.
-//
-// Deprecated: use Session.Plan without WithHeuristic.
-func Best(g *Grid, root int, size int64) (*Schedule, error) {
-	plan, err := plan(g, WithRoot(root), WithSize(size))
-	if err != nil {
-		return nil, err
-	}
-	return plan.Schedule, nil
-}
-
-// Refine improves a Predict-produced schedule by local search (swap and
-// re-sender moves, re-timed through the schedule engine); the result is
-// never worse. This is the repository's step toward the "next-generation
-// optimisation techniques" the paper's conclusion calls for.
-//
-// Deprecated: use Session.Refine, or WithRefine at planning time.
-func Refine(g *Grid, root int, size int64, sc *Schedule) (*Schedule, error) {
-	sess, err := NewSession(g)
-	if err != nil {
-		return nil, err
-	}
-	out, err := sess.Refine(context.Background(), &Plan{Root: root, Size: size, Schedule: sc}, 0)
-	if err != nil {
-		return nil, err
-	}
-	return out.Schedule, nil
-}
-
-// plan is the shared one-shot Session helper behind the legacy wrappers.
-func plan(g *Grid, opts ...Option) (*Plan, error) {
-	sess, err := NewSession(g)
-	if err != nil {
-		return nil, err
-	}
-	return sess.Plan(NewRequest(opts...))
-}

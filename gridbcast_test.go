@@ -3,31 +3,48 @@
 package gridbcast_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	. "gridbcast"
 )
 
+// planNamed plans a broadcast of size bytes from root with the named
+// heuristic (empty name: best of the paper's heuristics).
+func planNamed(t *testing.T, sess *Session, root int, size int64, name string, opts ...Option) *Plan {
+	t.Helper()
+	opts = append(opts, WithRoot(root), WithSize(size))
+	if name != "" {
+		h, err := ParseHeuristic(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		opts = append(opts, WithHeuristic(h))
+	}
+	plan, err := sess.Plan(NewRequest(opts...))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return plan
+}
+
 func TestPredictAndSimulateAgree(t *testing.T) {
-	g := Grid5000()
+	sess := mustSession(t, Grid5000())
 	for _, name := range []string{"FlatTree", "ECEF", "ECEF-LAT", "BottomUp", "Mixed"} {
-		sc, err := Predict(g, 0, 1<<20, name)
+		plan := planNamed(t, sess, 0, 1<<20, name)
+		res, err := sess.Execute(plan)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := Simulate(g, 0, 1<<20, name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if math.Abs(sc.Makespan-res.Makespan) > 1e-9 {
-			t.Errorf("%s: predicted %g != simulated %g", name, sc.Makespan, res.Makespan)
+		if math.Abs(plan.Makespan-res.Makespan) > 1e-9 {
+			t.Errorf("%s: predicted %g != simulated %g", name, plan.Makespan, res.Makespan)
 		}
 	}
 }
 
 func TestPredictUnknownHeuristic(t *testing.T) {
-	if _, err := Predict(Grid5000(), 0, 1, "nope"); err == nil {
+	if _, err := ParseHeuristic("nope"); err == nil {
 		t.Error("unknown heuristic accepted")
 	}
 }
@@ -37,10 +54,9 @@ func TestHeuristicNamesResolvable(t *testing.T) {
 	if len(names) < 8 {
 		t.Fatalf("names = %v", names)
 	}
+	sess := mustSession(t, Grid5000())
 	for _, n := range names {
-		if _, err := Predict(Grid5000(), 0, 1<<10, n); err != nil {
-			t.Errorf("%s: %v", n, err)
-		}
+		planNamed(t, sess, 0, 1<<10, n)
 	}
 }
 
@@ -55,32 +71,23 @@ func TestRandomGridDeterministic(t *testing.T) {
 }
 
 func TestBestIsMinimal(t *testing.T) {
-	g := RandomGrid(9, 8)
-	best, err := Best(g, 0, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := mustSession(t, RandomGrid(9, 8))
+	best := planNamed(t, sess, 0, 1<<20, "")
 	for _, h := range Heuristics() {
-		sc, err := Predict(g, 0, 1<<20, h.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if best.Makespan > sc.Makespan+1e-12 {
-			t.Errorf("Best (%g) worse than %s (%g)", best.Makespan, h.Name(), sc.Makespan)
+		plan := planNamed(t, sess, 0, 1<<20, h.Name())
+		if best.Makespan > plan.Makespan+1e-12 {
+			t.Errorf("best (%g) worse than %s (%g)", best.Makespan, h.Name(), plan.Makespan)
 		}
 	}
 }
 
 func TestSimulateBinomialBaseline(t *testing.T) {
-	g := Grid5000()
-	res, err := SimulateBinomial(g, 0, 1<<20)
+	sess := mustSession(t, Grid5000())
+	res, err := sess.ExecuteBinomial(0, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := Best(g, 0, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	best := planNamed(t, sess, 0, 1<<20, "")
 	if res.Makespan <= best.Makespan {
 		t.Errorf("grid-unaware binomial (%g) should lose to best schedule (%g)",
 			res.Makespan, best.Makespan)
@@ -88,13 +95,13 @@ func TestSimulateBinomialBaseline(t *testing.T) {
 }
 
 func TestSimulateWithJitter(t *testing.T) {
-	g := Grid5000()
-	res, err := Simulate(g, 0, 1<<20, "ECEF", NetConfig{Jitter: 0.05, Seed: 3})
+	sess := mustSession(t, Grid5000())
+	plan := planNamed(t, sess, 0, 1<<20, "ECEF")
+	res, err := sess.Execute(plan, NetConfig{Jitter: 0.05, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, _ := Predict(g, 0, 1<<20, "ECEF")
-	if res.Makespan == sc.Makespan {
+	if res.Makespan == plan.Makespan {
 		t.Error("jitter should perturb the measurement")
 	}
 }
@@ -106,56 +113,43 @@ func TestLoadGridMissing(t *testing.T) {
 }
 
 func TestRefineFacade(t *testing.T) {
-	g := RandomGrid(77, 7)
-	sc, err := Predict(g, 0, 1<<20, "FlatTree")
+	sess := mustSession(t, RandomGrid(77, 7))
+	plan := planNamed(t, sess, 0, 1<<20, "FlatTree")
+	ref, err := sess.Refine(context.Background(), plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Refine(g, 0, 1<<20, sc)
-	if err != nil {
-		t.Fatal(err)
+	if ref.Makespan > plan.Makespan+1e-12 {
+		t.Errorf("refine worsened %g -> %g", plan.Makespan, ref.Makespan)
 	}
-	if ref.Makespan > sc.Makespan+1e-12 {
-		t.Errorf("refine worsened %g -> %g", sc.Makespan, ref.Makespan)
-	}
-	if _, err := Refine(g, -1, 1, sc); err == nil {
+	bad := &Plan{Root: -1, Size: 1, Schedule: plan.Schedule}
+	if _, err := sess.Refine(context.Background(), bad, 0); err == nil {
 		t.Error("bad root accepted")
 	}
 }
 
 func TestSegmentedFacade(t *testing.T) {
-	g := Grid5000()
+	sess := mustSession(t, Grid5000())
 	const m = 4 << 20
-	ss, err := PredictSegmented(g, 0, m, 256<<10, "Mixed")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := planNamed(t, sess, 0, m, "Mixed", WithSegments(256<<10))
+	ss := plan.Segmented
 	if ss.K != 16 {
 		t.Fatalf("K = %d, want 16", ss.K)
 	}
-	res, err := SimulateSegmented(g, ss)
+	res, err := sess.Execute(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Makespan-ss.Makespan) > 1e-8 {
 		t.Errorf("predicted %g != simulated %g", ss.Makespan, res.Makespan)
 	}
-	if _, err := PredictSegmented(g, 0, m, 1<<10, "nope"); err == nil {
-		t.Error("unknown heuristic accepted")
-	}
 }
 
 func TestPipelinedFacadeBeatsUnsegmented(t *testing.T) {
-	g := Grid5000()
+	sess := mustSession(t, Grid5000())
 	const m = 16 << 20
-	best, err := PredictPipelined(g, 0, m, "ECEF-LAT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	unseg, err := Predict(g, 0, m, "ECEF-LAT")
-	if err != nil {
-		t.Fatal(err)
-	}
+	best := planNamed(t, sess, 0, m, "ECEF-LAT", WithPipelined()).Segmented
+	unseg := planNamed(t, sess, 0, m, "ECEF-LAT")
 	if best.Makespan > unseg.Makespan {
 		t.Errorf("pipelined %g worse than unsegmented %g", best.Makespan, unseg.Makespan)
 	}

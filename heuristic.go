@@ -76,10 +76,9 @@ func Heuristics() []Heuristic {
 	return append([]Heuristic(nil), sched.Paper()...)
 }
 
-// HeuristicNames lists every heuristic name accepted by ParseHeuristic (and
-// the legacy Predict/Simulate wrappers), including the Mixed adaptive
-// strategy and the FEF weight ablation. The slice is a fresh copy on every
-// call.
+// HeuristicNames lists every heuristic name accepted by ParseHeuristic,
+// including the Mixed adaptive strategy and the FEF weight ablation. The
+// slice is a fresh copy on every call.
 func HeuristicNames() []string {
 	all := parseOrder()
 	names := make([]string, len(all))

@@ -264,9 +264,10 @@ type ChaosReplanReport struct {
 func ChaosReplanSweep(cfg ChaosConfig) (*ChaosReplanReport, error) {
 	rep := &ChaosReplanReport{}
 	var ratios stats.Accumulator
+	ep := sched.NewEnginePool()
 	for _, s := range cfg.Scenarios() {
 		p := sched.MustProblem(s.Grid, s.Root, cfg.msgSize(), sched.Options{})
-		sc, tr := sched.ScheduleTraced(nil, s.Heuristic, p)
+		sc, tr := sched.ScheduleTraced(ep, s.Heuristic, p)
 		if tr == nil {
 			return nil, fmt.Errorf("experiment: scenario %d: %s produced no replay trace", s.Index, s.Heuristic.Name())
 		}

@@ -51,7 +51,7 @@ func TestSweepsByteIdenticalAcrossGOMAXPROCS(t *testing.T) {
 
 // TestSweepsByteIdenticalWithParallelScan repeats the oracle with the
 // schedule construction itself parallelised (MonteCarlo.ScanWorkers →
-// sched.ParallelBuild): the figures must not move by a single byte.
+// gridbcast.WithScanWorkers): the figures must not move by a single byte.
 func TestSweepsByteIdenticalWithParallelScan(t *testing.T) {
 	base := MonteCarlo{Iterations: 30, Seed: 11, Workers: 2}
 	want := renderAll(t, base)
@@ -76,10 +76,14 @@ func TestParallelBuildByteIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	var want []byte
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
+		pb := sched.NewParallelBuilder(0)
+		ep := sched.NewEnginePool()
+		ep.Scan = pb
 		var buf bytes.Buffer
 		for _, h := range hs {
-			fmt.Fprintf(&buf, "%+v\n", sched.ParallelBuild(h, p, 0))
+			fmt.Fprintf(&buf, "%+v\n", ep.Schedule(h, p))
 		}
+		pb.Close()
 		if want == nil {
 			want = buf.Bytes()
 			continue

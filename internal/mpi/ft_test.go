@@ -226,7 +226,7 @@ func TestExecuteCancelled(t *testing.T) {
 // is allowed).
 func TestSegmentedRejectsLossAndCrashFaults(t *testing.T) {
 	g := topology.Grid5000()
-	ss, err := sched.Pipelined{Base: sched.ECEFLAT()}.Best(g, 0, 1<<20, sched.Options{})
+	ss, err := sched.Pipelined{Base: sched.ECEFLAT()}.BestContext(context.Background(), sched.NewEnginePool(), g, 0, 1<<20, sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,9 @@ import (
 // lazily invalidated candidate structures, dropping schedule construction
 // from O(N³)–O(N⁴) to O(N² log N) while producing bit-identical schedules
 // (proved by the golden equivalence tests; complexity bounds in DESIGN.md,
-// "Performance notes").
+// "Performance notes"). The engines are readied only by EnginePool
+// (enginepool.go), the package's one build path; the naive pickers survive
+// as the Reference oracle.
 //
 // Three mechanisms cover every heuristic:
 //
@@ -53,29 +55,6 @@ import (
 // helper: a comparator passed as a function value defeats inlining on
 // these hot paths, and each variant's lazy trick (re-keying, deletion)
 // shapes its access pattern differently.
-
-// referencePick, when true, routes every heuristic through its original
-// quadratic-scan picker instead of the incremental engine. It is flipped by
-// the equivalence tests; external callers use the Reference wrapper.
-var referencePick = false
-
-// enginePolicy is implemented by pickers that provide an incremental
-// drop-in replacement of their naive pick.
-type enginePolicy interface {
-	policy
-	engine(p *Problem) policy
-}
-
-// schedule dispatches a picker to the incremental engine when one is
-// available (and the reference path is not forced).
-func schedule(pol policy, p *Problem) *Schedule {
-	if !referencePick {
-		if ep, ok := pol.(enginePolicy); ok {
-			return run(ep.engine(p), p)
-		}
-	}
-	return run(pol, p)
-}
 
 // Reference forces a heuristic to schedule with the original naive pickers.
 // It exists so benchmarks and equivalence tests outside this package can
@@ -139,21 +118,6 @@ type fefEngine struct {
 	cSnd  []int32   // sender attaining cW[j]
 	fresh []int32   // senders whose rows are not folded in yet
 	rem   []int32   // receivers still outside A, ascending (see recvCache.rem)
-}
-
-func newFEFEngine(h FEF, p *Problem) *fefEngine {
-	e := &fefEngine{
-		h:     h,
-		cW:    make([]float64, p.N),
-		cSnd:  make([]int32, p.N),
-		fresh: []int32{int32(p.Root)},
-		rem:   remInit(make([]int32, 0, p.N), p.N, p.Root),
-	}
-	for j := 0; j < p.N; j++ {
-		e.cW[j] = math.Inf(1)
-		e.cSnd[j] = -1
-	}
-	return e
 }
 
 func (e *fefEngine) Name() string { return e.h.Name() }
@@ -317,27 +281,6 @@ func remDrop(rem []int32, j int32) []int32 {
 	return append(rem[:lo], rem[lo+1:]...)
 }
 
-func newRecvCache(p *Problem) recvCache {
-	n := p.N
-	rc := recvCache{
-		wt:         p.transposedW(),
-		heaps:      make([]senderHeap, n),
-		integrated: make([]int32, n),
-		joined:     make([]int32, 0, n),
-		cKey:       make([]float64, n),
-		cSnd:       make([]int32, n),
-		nq:         make([]int32, n),
-		rem:        remInit(make([]int32, 0, n), n, p.Root),
-		lastI:      -1,
-	}
-	rc.joined = append(rc.joined, int32(p.Root))
-	for j := 0; j < n; j++ {
-		rc.cKey[j] = math.Inf(1)
-		rc.cSnd[j] = -1
-	}
-	return rc
-}
-
 // sync brings the caches up to date with the previous round. Senders that
 // joined A since the last sync are compared flat against every cached best
 // (their candidate either beats it or goes to the join log for later);
@@ -482,15 +425,14 @@ type lookaheadSet struct {
 }
 
 // laEntriesFor appends receiver j's lookahead candidates — every cluster
-// k ∉ {j, skip} keyed by h's weight expression (negated for the max
-// variant) — and returns the extended backing. skip < 0 disables the
-// filter (the pool's root-independent templates). Both the direct engine
-// build and the pool's template builder go through this one function, so
-// the weight expression cannot drift between them.
-func laEntriesFor(backing []laEntry, h ecef, p *Problem, j, skip int) []laEntry {
+// k != j keyed by h's weight expression (negated for the max variant) — and
+// returns the extended backing. The pool's root-independent templates and
+// the replanner both go through this one function, so the weight
+// expression cannot drift between them.
+func laEntriesFor(backing []laEntry, h ecef, p *Problem, j int) []laEntry {
 	neg := h.kind == laMaxWT
 	for k := 0; k < p.N; k++ {
-		if k == j || k == skip {
+		if k == j {
 			continue
 		}
 		w := p.W[j][k]
@@ -503,33 +445,6 @@ func laEntriesFor(backing []laEntry, h ecef, p *Problem, j, skip int) []laEntry 
 		backing = append(backing, laEntry{w: w, k: int32(k)})
 	}
 	return backing
-}
-
-// build constructs the per-receiver heaps over every k ∉ {j, root} and
-// caches the initial extrema (A = {root}).
-func (ls *lookaheadSet) build(h ecef, p *Problem) {
-	n := p.N
-	ls.neg = h.kind == laMaxWT
-	ls.la = make([]laHeap, n)
-	ls.fVal = make([]float64, n)
-	ls.fTop = make([]int32, n)
-	backing := make([]laEntry, 0, n*n)
-	for j := 0; j < n; j++ {
-		if j == p.Root {
-			continue
-		}
-		start := len(backing)
-		backing = laEntriesFor(backing, h, p, j, p.Root)
-		ls.la[j].es = backing[start:len(backing):len(backing)]
-		ls.la[j].heapify()
-		// Initial extremum: nobody beyond the root is in A yet, so the
-		// raw heap top is current.
-		if len(ls.la[j].es) == 0 {
-			ls.fVal[j], ls.fTop[j] = 0, -1
-		} else {
-			ls.cache(j, ls.la[j].es[0])
-		}
-	}
 }
 
 // cache stores the lookahead extremum entry of receiver j, undoing the
@@ -564,14 +479,6 @@ type ecefEngine struct {
 	lookaheadSet
 }
 
-func newECEFEngine(h ecef, p *Problem) *ecefEngine {
-	e := &ecefEngine{h: h, rc: newRecvCache(p)}
-	if h.kind != laNone {
-		e.build(h, p)
-	}
-	return e
-}
-
 func (e *ecefEngine) Name() string { return e.h.name }
 
 func (e *ecefEngine) pick(p *Problem, s *state) (int, int) {
@@ -602,8 +509,6 @@ func (e *ecefEngine) pick(p *Problem, s *state) (int, int) {
 // buEngine is the incremental BottomUp picker: per-receiver best sender,
 // then the receiver whose cheapest completion is the largest.
 type buEngine struct{ rc recvCache }
-
-func newBUEngine(p *Problem) *buEngine { return &buEngine{rc: newRecvCache(p)} }
 
 func (buEngine) Name() string { return BottomUp{}.Name() }
 

@@ -1,11 +1,15 @@
 package sched
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
-// EnginePool amortises the incremental engine's setup cost across repeated
-// schedule constructions (ROADMAP: "platforms scheduled repeatedly — root
-// rotation, message-size sweeps — could reuse the lookahead heaps via a
-// per-problem engine pool"). Two mechanisms:
+// EnginePool is the one place that readies the incremental engines: every
+// schedule the package builds — Heuristic.Schedule, ScheduleSegmented,
+// ScheduleTraced and the Pipelined ladder — runs through a pool. It
+// amortises the engines' setup cost across repeated constructions with two
+// mechanisms:
 //
 //   - Buffer reuse: the candidate caches, sender heaps and lookahead
 //     backing arrays are allocated once per pool (per cluster count) and
@@ -19,18 +23,19 @@ import "math"
 //     schedules — any root, same platform and size — start from a single
 //     memcpy instead of an O(N²) rebuild + heapify. The root's entries are
 //     filtered out on first access exactly like any cluster that joined A,
-//     so the produced schedules stay bit-identical to the unpooled engine
-//     (pinned by the equivalence tests).
+//     so the produced schedules stay bit-identical to the naive reference
+//     pickers (pinned by the equivalence tests).
 //
-// A pool is NOT safe for concurrent use: sweeps that parallelise across
-// goroutines use one pool per worker (see internal/experiment).
+// A pool is NOT safe for concurrent use: callers without a pool of their
+// own check one out of a package sync.Pool per build (poolSchedule), and
+// sweeps that parallelise across goroutines use one pool per worker.
 type EnginePool struct {
 	// Scan, when non-nil, chunks every shardable per-round scan across the
-	// builder's work-stealing pool (parallel.go) — including the segmented
-	// and pipelined constructions, which have no other parallel entry
-	// point. The produced schedules are bit-identical with or without it;
-	// only construction latency changes. Like the pool itself, the field is
-	// not synchronised: set it before handing the pool to a worker.
+	// builder's work-stealing pool (parallel.go), for unsegmented,
+	// segmented and pipelined constructions alike. The produced schedules
+	// are bit-identical with or without it; only construction latency
+	// changes. Like the pool itself, the field is not synchronised: set it
+	// before handing the pool to a worker.
 	Scan *ParallelBuilder
 
 	n int // current buffer dimension (0 = nothing allocated)
@@ -56,7 +61,9 @@ type EnginePool struct {
 	segBuShell  segBuEngine
 	segFefShell segFefEngine
 
-	// Lookahead working set (copied from a template per schedule).
+	// Lookahead working set (copied from a template per schedule),
+	// allocated on the first lookahead engine: it is O(N²), and FEF,
+	// BottomUp and plain ECEF never read it.
 	laBacking []laEntry
 	laHeaps   []laHeap
 	fVal      []float64
@@ -112,28 +119,37 @@ func NewEnginePool() *EnginePool {
 	}
 }
 
+// pools recycles EnginePools for the builds that carry no pool of their
+// own: Heuristic.Schedule and the package-level ScheduleSegmented.
+var pools = sync.Pool{New: func() any { return NewEnginePool() }}
+
+// poolSchedule builds p's schedule with h on a pool checked out for the
+// call.
+func poolSchedule(h Heuristic, p *Problem) *Schedule {
+	ep := pools.Get().(*EnginePool)
+	defer pools.Put(ep)
+	return ep.Schedule(h, p)
+}
+
 // Schedule builds p's schedule with h through the pool's recycled engines.
-// The result is identical to h.Schedule(p) in every field.
+// Heuristics without an incremental engine (Optimal, custom heuristics)
+// build through their own Schedule.
 func (ep *EnginePool) Schedule(h Heuristic, p *Problem) *Schedule {
-	if referencePick {
-		return h.Schedule(p)
-	}
 	switch hh := h.(type) {
 	case FlatTree:
 		return run(&flatEngine{d: 1}, p)
 	case FEF:
-		ep.ensure(p.N)
 		return run(ep.scanPolicy(ep.fefFor(hh, p)), p)
 	case ecef:
-		ep.ensure(p.N)
 		return run(ep.scanPolicy(ep.ecefFor(hh, p)), p)
 	case BottomUp:
-		ep.ensure(p.N)
 		return run(ep.scanPolicy(ep.buFor(p)), p)
 	case Mixed:
 		sc := ep.Schedule(hh.inner(p), p)
 		sc.Heuristic = hh.Name()
 		return sc
+	case Refined:
+		return Refine(p, ep.Schedule(hh.Base, p), hh.MaxRounds)
 	}
 	return h.Schedule(p)
 }
@@ -147,7 +163,8 @@ func (ep *EnginePool) scanPolicy(sc parallelScanner) policy {
 	return sc
 }
 
-// ensure sizes the pooled buffers for n clusters.
+// ensure sizes the pooled O(N) buffers for n clusters; the O(N²)
+// lookahead buffers follow in loadLookahead.
 func (ep *EnginePool) ensure(n int) {
 	if ep.n == n {
 		return
@@ -166,16 +183,12 @@ func (ep *EnginePool) ensure(n int) {
 	ep.fefCSnd = make([]int32, n)
 	ep.fefFresh = make([]int32, 0, n)
 	ep.fefRem = make([]int32, 0, n)
-	ep.laBacking = make([]laEntry, n*n)
-	ep.laHeaps = make([]laHeap, n)
-	ep.fVal = make([]float64, n)
-	ep.fTop = make([]int32, n)
-	ep.inA = make([]bool, n)
 }
 
 // resetRecvCache restores the shared receiver cache to its initial state
 // for p, keeping every allocation (including lazily grown sender heaps).
 func (ep *EnginePool) resetRecvCache(p *Problem) {
+	ep.ensure(p.N)
 	rc := &ep.rc
 	rc.wt = p.transposedW()
 	for j := 0; j < p.N; j++ {
@@ -193,6 +206,7 @@ func (ep *EnginePool) resetRecvCache(p *Problem) {
 
 // fefFor readies the pooled FEF engine.
 func (ep *EnginePool) fefFor(h FEF, p *Problem) *fefEngine {
+	ep.ensure(p.N)
 	e := &ep.fefShell
 	*e = fefEngine{h: h, cW: ep.fefCW, cSnd: ep.fefCSnd}
 	for j := 0; j < p.N; j++ {
@@ -228,9 +242,17 @@ func (ep *EnginePool) ecefFor(h ecef, p *Problem) *ecefEngine {
 // template, pointing it at the pool's working buffers. local marks p as a
 // segmented problem's TL view (laProblem), cached under its own key.
 func (ep *EnginePool) loadLookahead(ls *lookaheadSet, h ecef, p *Problem, local bool) {
+	n := p.N
+	if len(ep.laHeaps) != n {
+		ep.laBacking = make([]laEntry, n*n)
+		ep.laHeaps = make([]laHeap, n)
+		ep.fVal = make([]float64, n)
+		ep.fTop = make([]int32, n)
+		ep.inA = make([]bool, n)
+	}
 	tpl := ep.template(h, p, local)
 	copy(ep.laBacking, tpl.backing)
-	for j := 0; j < p.N; j++ {
+	for j := 0; j < n; j++ {
 		lo, hi := tpl.off[j], tpl.off[j+1]
 		ep.laHeaps[j].es = ep.laBacking[lo:hi:hi]
 	}
@@ -239,9 +261,9 @@ func (ep *EnginePool) loadLookahead(ls *lookaheadSet, h ecef, p *Problem, local 
 	ls.fVal, ls.fTop = ep.fVal, ep.fTop
 	// Initial extrema: A = {root}, so the template's root entries are
 	// discarded here exactly as the engine discards any member that joined
-	// A; heaps hold the same candidate sets as an unpooled build.
+	// A.
 	ep.inA[p.Root] = true
-	for j := 0; j < p.N; j++ {
+	for j := 0; j < n; j++ {
 		if j == p.Root {
 			continue
 		}
@@ -254,31 +276,44 @@ func (ep *EnginePool) loadLookahead(ls *lookaheadSet, h ecef, p *Problem, local 
 // Segmented scheduling through the pool
 
 // ScheduleSegmented builds sp's pipelined schedule with h through the
-// pool's recycled segmented engines. The result is identical to
-// ScheduleSegmented(h, sp) in every field; steady-state construction reuses
-// the candidate caches, the per-segment transposes and the lookahead
-// templates (the lookahead keys off the full-message W and the effective T
-// vector, so plain-T templates are shared with the unsegmented engines —
-// any segment size, same platform — while the end-to-end pipeline's TL
-// views get their own key).
+// pool's recycled segmented engines, reusing the candidate caches, the
+// per-segment transposes and the lookahead templates (the lookahead keys
+// off the full-message W and the effective T vector, so plain-T templates
+// are shared with the unsegmented engines — any segment size, same
+// platform — while the end-to-end pipeline's TL views get their own key).
+// Below segEngineMinN clusters the naive segmented pickers build instead;
+// heuristics without a native segmented picker re-time their unsegmented
+// tree (h.Schedule) under the per-segment model. Under the end-to-end
+// pipeline the result is never worse than h's coordinator-only schedule at
+// the same segmentation (coordGuard).
 func (ep *EnginePool) ScheduleSegmented(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	if referencePick || sp.N < segEngineMinN {
-		return ScheduleSegmented(h, sp)
-	}
 	return coordGuard(h, sp, func(spx *SegmentedProblem) *SegmentedSchedule {
+		if spx.N < segEngineMinN {
+			return segmentedWith(h, spx, segPolicyFor(h, spx), h)
+		}
 		return ep.scheduleSegmentedOnce(h, spx)
 	})
 }
 
+// scheduleSegmentedOnce is one coordGuard pass through the pooled segmented
+// engines, whatever the cluster count.
 func (ep *EnginePool) scheduleSegmentedOnce(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	var pol segPolicy
+	pol := ep.segEngineFor(h, sp)
+	if pol != nil && ep.Scan != nil {
+		pol = ep.Scan.segPolicyFor(pol)
+	}
+	return segmentedWith(h, sp, pol, h)
+}
+
+// segEngineFor readies the pooled incremental segmented picker for h, or
+// returns nil when h has none.
+func (ep *EnginePool) segEngineFor(h Heuristic, sp *SegmentedProblem) segPolicy {
 	switch hh := h.(type) {
 	case FlatTree:
-		pol = &flatSegEngine{d: 1}
+		return &flatSegEngine{d: 1}
 	case FEF:
-		ep.ensure(sp.N)
 		ep.segFefShell = segFefEngine{e: ep.fefFor(hh, sp.Problem)}
-		pol = &ep.segFefShell
+		return &ep.segFefShell
 	case ecef:
 		ep.ensureSeg(sp)
 		e := &ep.segEcefShel
@@ -289,32 +324,22 @@ func (ep *EnginePool) scheduleSegmentedOnce(h Heuristic, sp *SegmentedProblem) *
 			// TL view and must share the plain-T template.
 			ep.loadLookahead(&e.lookaheadSet, hh, sp.laProblem(), sp.lap != nil)
 		}
-		pol = e
+		return e
 	case BottomUp:
 		ep.ensureSeg(sp)
 		ep.segBuShell = segBuEngine{rc: ep.segRc}
-		pol = &ep.segBuShell
+		return &ep.segBuShell
 	case Mixed:
-		ss := ep.scheduleSegmentedOnce(hh.inner(sp.Problem), sp)
-		ss.Heuristic = hh.Name()
-		return ss
-	default:
-		return scheduleSegmentedOnce(h, sp)
+		return ep.segEngineFor(hh.inner(sp.Problem), sp)
 	}
-	if ep.Scan != nil {
-		pol = ep.Scan.segPolicyFor(pol)
-	}
-	ss := runSegmented(pol, sp)
-	ss.Heuristic = h.Name()
-	return ss
+	return nil
 }
 
 // ensureSeg sizes and resets the pooled segmented receiver cache for sp.
 // The Gs/Wl transposes come from the pool's per-matrix-identity cache (the
 // ROADMAP item behind Pipelined ladder setup cost): ladder rungs and
 // repeated schedules at the same segmentation skip the O(N²) rebuild
-// entirely. ep.segRc therefore only aliases shared transposes — it must
-// never be reset through segRecvCache.reset, which would write into them.
+// entirely. ep.segRc therefore only aliases shared, read-only transposes.
 func (ep *EnginePool) ensureSeg(sp *SegmentedProblem) {
 	ep.ensure(sp.N)
 	if ep.segN != sp.N {
@@ -349,8 +374,8 @@ func (ep *EnginePool) transposesFor(sp *SegmentedProblem) *segTranspose {
 	}
 	tr := &segTranspose{
 		n:   sp.N,
-		gsT: transposeInto(nil, sp.Gs, sp.N),
-		wlT: transposeInto(nil, sp.Wl, sp.N),
+		gsT: transpose(sp.Gs, sp.N),
+		wlT: transpose(sp.Wl, sp.N),
 	}
 	ep.segTrans[key] = tr
 	return tr
@@ -380,7 +405,7 @@ func (ep *EnginePool) template(h ecef, p *Problem, local bool) *laTemplate {
 	}
 	for j := 0; j < n; j++ {
 		tpl.off[j] = len(tpl.backing)
-		tpl.backing = laEntriesFor(tpl.backing, h, p, j, -1)
+		tpl.backing = laEntriesFor(tpl.backing, h, p, j)
 		hp := laHeap{es: tpl.backing[tpl.off[j]:len(tpl.backing)]}
 		hp.heapify()
 	}

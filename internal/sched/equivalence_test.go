@@ -15,13 +15,6 @@ func equivalenceHeuristics() []Heuristic {
 	return append(Paper(), FEF{Weight: WeightFull})
 }
 
-// withReference runs fn with the incremental engine disabled.
-func withReference(fn func()) {
-	referencePick = true
-	defer func() { referencePick = false }()
-	fn()
-}
-
 // assertIdentical fails unless the two schedules are identical in every
 // field: events (rounds, pairs, exact float timings), RT, Idle, Completion
 // and makespan. Exact float equality is intentional — the engine must
@@ -91,14 +84,13 @@ func TestEngineMatchesReferenceLargeGrid(t *testing.T) {
 }
 
 // TestMixedMatchesReference exercises the composite Mixed heuristic through
-// the package-level reference switch (it has no raw picker of its own).
+// the Reference wrapper (it has no raw picker of its own).
 func TestMixedMatchesReference(t *testing.T) {
 	r := stats.NewRand(5)
 	for _, n := range []int{4, 10, 11, 30} {
 		p := MustProblem(topology.RandomGrid(r, n), 0, 1<<20, Options{})
 		inc := Mixed{}.Schedule(p)
-		var ref *Schedule
-		withReference(func() { ref = Mixed{}.Schedule(p) })
+		ref := Reference{Base: Mixed{}}.Schedule(p)
 		assertIdentical(t, "Mixed", inc, ref)
 	}
 }

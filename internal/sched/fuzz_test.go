@@ -184,8 +184,8 @@ func FuzzEngineEquivalence(f *testing.F) {
 			if inc := h.Schedule(p); !reflect.DeepEqual(inc, ref) {
 				t.Fatalf("%s: engine diverges from reference", h.Name())
 			}
-			if par := ParallelBuild(h, p, 3); !reflect.DeepEqual(par, ref) {
-				t.Fatalf("%s: ParallelBuild diverges from reference", h.Name())
+			if par := scanBuild(h, p, 3); !reflect.DeepEqual(par, ref) {
+				t.Fatalf("%s: parallel scan build diverges from reference", h.Name())
 			}
 			if pooled := ep.Schedule(h, p); !reflect.DeepEqual(pooled, ref) {
 				t.Fatalf("%s: pooled engine diverges from reference", h.Name())

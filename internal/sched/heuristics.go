@@ -23,10 +23,8 @@ func (FlatTree) pick(p *Problem, s *state) (int, int) {
 	return -1, -1
 }
 
-func (FlatTree) engine(p *Problem) policy { return &flatEngine{d: 1} }
-
 // Schedule implements Heuristic.
-func (h FlatTree) Schedule(p *Problem) *Schedule { return schedule(h, p) }
+func (h FlatTree) Schedule(p *Problem) *Schedule { return poolSchedule(h, p) }
 
 // ---------------------------------------------------------------------------
 // Fastest Edge First (Bhat, §4.2)
@@ -84,10 +82,8 @@ func (h FEF) pick(p *Problem, s *state) (int, int) {
 	return bi, bj
 }
 
-func (h FEF) engine(p *Problem) policy { return newFEFEngine(h, p) }
-
 // Schedule implements Heuristic.
-func (h FEF) Schedule(p *Problem) *Schedule { return schedule(h, p) }
+func (h FEF) Schedule(p *Problem) *Schedule { return poolSchedule(h, p) }
 
 // ---------------------------------------------------------------------------
 // Early Completion Edge First (Bhat, §4.3) and its lookahead family
@@ -179,9 +175,7 @@ func (h ecef) pick(p *Problem, s *state) (int, int) {
 	return bi, bj
 }
 
-func (h ecef) engine(p *Problem) policy { return newECEFEngine(h, p) }
-
-func (h ecef) Schedule(p *Problem) *Schedule { return schedule(h, p) }
+func (h ecef) Schedule(p *Problem) *Schedule { return poolSchedule(h, p) }
 
 // ECEF returns Bhat's Early Completion Edge First heuristic.
 func ECEF() Heuristic { return ecef{name: "ECEF"} }
@@ -244,10 +238,8 @@ func (BottomUp) pick(p *Problem, s *state) (int, int) {
 	return bi, bj
 }
 
-func (BottomUp) engine(p *Problem) policy { return newBUEngine(p) }
-
 // Schedule implements Heuristic.
-func (h BottomUp) Schedule(p *Problem) *Schedule { return schedule(h, p) }
+func (h BottomUp) Schedule(p *Problem) *Schedule { return poolSchedule(h, p) }
 
 // ---------------------------------------------------------------------------
 // Mixed strategy (paper §6, closing recommendation)

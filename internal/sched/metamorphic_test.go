@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -172,7 +173,7 @@ func TestMetamorphicPipelinedNeverWorseRandom(t *testing.T) {
 		opt := Options{Overlap: true}
 		p := MustProblem(g, root, m, opt)
 		for _, h := range Paper() {
-			best, err := Pipelined{Base: h}.Best(g, root, m, opt)
+			best, err := Pipelined{Base: h}.BestContext(context.Background(), NewEnginePool(), g, root, m, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

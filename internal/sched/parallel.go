@@ -250,38 +250,6 @@ func (pb *ParallelBuilder) round(nRem int, foldBetter func(next, cur pickCand) b
 	return best
 }
 
-// Schedule builds h's schedule with the per-round receiver scans chunked
-// across the pool. The result is bit-identical to h.Schedule(p) in every
-// field at any worker count; only the construction latency changes.
-// Heuristics without a chunkable scan (FlatTree's cursor, exhaustive
-// searches) fall back to the sequential path, which satisfies the same
-// contract trivially.
-func (pb *ParallelBuilder) Schedule(h Heuristic, p *Problem) *Schedule {
-	switch hh := h.(type) {
-	case Mixed:
-		sc := pb.Schedule(hh.inner(p), p)
-		sc.Heuristic = hh.Name()
-		return sc
-	case Refined:
-		return Refine(p, pb.Schedule(hh.Base, p), hh.MaxRounds)
-	}
-	if pb.workers <= 1 || p.N <= 1 || referencePick {
-		return h.Schedule(p)
-	}
-	var sc parallelScanner
-	switch hh := h.(type) {
-	case FEF:
-		sc = newFEFEngine(hh, p)
-	case ecef:
-		sc = newECEFEngine(hh, p)
-	case BottomUp:
-		sc = newBUEngine(p)
-	default:
-		return h.Schedule(p)
-	}
-	return run(&parallelPolicy{pb: pb, sc: sc}, p)
-}
-
 // parallelPolicy adapts a parallelScanner to the round-based run engine,
 // dispatching each round's scan to the builder's pool.
 type parallelPolicy struct {
@@ -326,25 +294,6 @@ func (pb *ParallelBuilder) segPolicyFor(pol segPolicy) segPolicy {
 		return &segParallelPolicy{pb: pb, sc: sc}
 	}
 	return pol
-}
-
-// ParallelBuild is the one-shot form of ParallelBuilder.Schedule: build a
-// single schedule with workers scan goroutines, then release the pool.
-func ParallelBuild(h Heuristic, p *Problem, workers int) *Schedule {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > p.N {
-		workers = p.N
-	}
-	if workers <= 1 || referencePick {
-		// Delegate composites so the sequential fallback stays uniform.
-		pb := ParallelBuilder{workers: 1}
-		return pb.Schedule(h, p)
-	}
-	pb := NewParallelBuilder(workers)
-	defer pb.Close()
-	return pb.Schedule(h, p)
 }
 
 // ---------------------------------------------------------------------------

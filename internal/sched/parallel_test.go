@@ -7,6 +7,20 @@ import (
 	"gridbcast/internal/topology"
 )
 
+// scanBuild builds h's schedule on a fresh EnginePool whose per-round scans
+// are chunked across a scan pool of workers goroutines (workers <= 0 means
+// GOMAXPROCS, capped at the cluster count).
+func scanBuild(h Heuristic, p *Problem, workers int) *Schedule {
+	if workers > p.N {
+		workers = p.N
+	}
+	pb := NewParallelBuilder(workers)
+	defer pb.Close()
+	ep := NewEnginePool()
+	ep.Scan = pb
+	return ep.Schedule(h, p)
+}
+
 // parallelWorkerCounts covers the degenerate single worker, uneven shards,
 // more workers than receivers, and a typical core count.
 var parallelWorkerCounts = []int{1, 2, 3, 5, 8, 32}
@@ -22,7 +36,7 @@ func TestParallelBuildMatchesEngineGrid5000(t *testing.T) {
 			for _, h := range equivalenceHeuristics() {
 				seq := h.Schedule(p)
 				for _, w := range parallelWorkerCounts {
-					par := ParallelBuild(h, p, w)
+					par := scanBuild(h, p, w)
 					assertIdentical(t, h.Name(), par, seq)
 				}
 			}
@@ -47,7 +61,7 @@ func TestParallelBuildMatchesEngineRandom(t *testing.T) {
 		for _, h := range equivalenceHeuristics() {
 			seq := h.Schedule(p)
 			for _, w := range parallelWorkerCounts {
-				assertIdentical(t, h.Name(), ParallelBuild(h, p, w), seq)
+				assertIdentical(t, h.Name(), scanBuild(h, p, w), seq)
 			}
 		}
 	}
@@ -64,7 +78,7 @@ func TestParallelBuildLargeGrid(t *testing.T) {
 	for _, h := range equivalenceHeuristics() {
 		seq := h.Schedule(p)
 		for _, w := range []int{2, 8} {
-			assertIdentical(t, h.Name(), ParallelBuild(h, p, w), seq)
+			assertIdentical(t, h.Name(), scanBuild(h, p, w), seq)
 		}
 	}
 }
@@ -76,10 +90,10 @@ func TestParallelBuildComposites(t *testing.T) {
 	r := stats.NewRand(31)
 	for _, n := range []int{6, 30} {
 		p := MustProblem(topology.RandomGrid(r, n), 0, 1<<20, Options{})
-		assertIdentical(t, "Mixed", ParallelBuild(Mixed{}, p, 4), Mixed{}.Schedule(p))
+		assertIdentical(t, "Mixed", scanBuild(Mixed{}, p, 4), Mixed{}.Schedule(p))
 		ref := Refined{Base: ECEFLA(), MaxRounds: 1}
-		assertIdentical(t, "Refined", ParallelBuild(ref, p, 4), ref.Schedule(p))
-		assertIdentical(t, "FlatTree", ParallelBuild(FlatTree{}, p, 4), FlatTree{}.Schedule(p))
+		assertIdentical(t, "Refined", scanBuild(ref, p, 4), ref.Schedule(p))
+		assertIdentical(t, "FlatTree", scanBuild(FlatTree{}, p, 4), FlatTree{}.Schedule(p))
 	}
 }
 
@@ -88,7 +102,7 @@ func TestParallelBuildComposites(t *testing.T) {
 func TestParallelBuildDefaultWorkers(t *testing.T) {
 	p := MustProblem(topology.RandomGrid(stats.NewRand(8), 12), 0, 1<<20, Options{})
 	for _, h := range equivalenceHeuristics() {
-		assertIdentical(t, h.Name(), ParallelBuild(h, p, 0), h.Schedule(p))
-		assertIdentical(t, h.Name(), ParallelBuild(h, p, 100), h.Schedule(p))
+		assertIdentical(t, h.Name(), scanBuild(h, p, 0), h.Schedule(p))
+		assertIdentical(t, h.Name(), scanBuild(h, p, 100), h.Schedule(p))
 	}
 }

@@ -85,7 +85,9 @@ func TestParallelStealEngagesOnLargeRounds(t *testing.T) {
 	p := MustProblem(g, 0, 1<<20, Options{})
 	pb := NewParallelBuilder(4)
 	defer pb.Close()
-	sc := pb.Schedule(ECEFLAT(), p)
+	ep := NewEnginePool()
+	ep.Scan = pb
+	sc := ep.Schedule(ECEFLAT(), p)
 	assertIdentical(t, "ECEF-LAt", sc, ECEFLAT().Schedule(p))
 	rounds := n - 1
 	if pb.seqRounds == 0 || pb.seqRounds >= rounds {
@@ -112,7 +114,7 @@ func TestEnginePoolScanPolicy(t *testing.T) {
 }
 
 // TestPipelinedParallelMatchesSequential checks WithScanWorkers coverage of
-// the pipelined ladder: Pipelined.Best through an EnginePool with a Scan
+// the pipelined ladder: Pipelined.BestContext through an EnginePool with a Scan
 // builder attached must reproduce the sequential pooled build exactly —
 // same chosen segment size, same events, same makespan.
 func TestPipelinedParallelMatchesSequential(t *testing.T) {

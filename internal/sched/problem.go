@@ -56,14 +56,7 @@ func (p *Problem) transposedW() [][]float64 {
 	if p.wt != nil {
 		return p.wt
 	}
-	wt := make([][]float64, p.N)
-	for j := 0; j < p.N; j++ {
-		wt[j] = make([]float64, p.N)
-		for i := 0; i < p.N; i++ {
-			wt[j][i] = p.W[i][j]
-		}
-	}
-	return wt
+	return transpose(p.W, p.N)
 }
 
 // Options tune problem construction.

@@ -159,28 +159,17 @@ func (t *tracedPick) pick(p *Problem, s *state) (int, int) {
 	return i, j
 }
 
-// ScheduleTraced builds p's schedule and, for traceable heuristics, the
-// replay log that lets ReplanSchedule absorb a later platform drift. For
-// non-traceable heuristics the schedule is built normally (through the pool
-// when one is given) and the trace is nil. The schedule is identical to an
-// untraced build in every field.
+// ScheduleTraced builds p's schedule through ep and, for traceable
+// heuristics, the replay log that lets ReplanSchedule absorb a later
+// platform drift. For non-traceable heuristics the trace is nil. The
+// schedule is identical to an untraced build in every field.
 func ScheduleTraced(ep *EnginePool, h Heuristic, p *Problem) (*Schedule, *BuildTrace) {
 	hh, ok := h.(ecef)
-	if !ok || referencePick {
-		if ep != nil {
-			return ep.Schedule(h, p), nil
-		}
-		return h.Schedule(p), nil
-	}
-	var e *ecefEngine
-	if ep != nil {
-		ep.ensure(p.N)
-		e = ep.ecefFor(hh, p)
-	} else {
-		e = newECEFEngine(hh, p)
+	if !ok {
+		return ep.Schedule(h, p), nil
 	}
 	tr := &BuildTrace{h: hh, root: p.Root, n: p.N}
-	return run(&tracedPick{e: e, tr: tr}, p), tr
+	return run(&tracedPick{e: ep.ecefFor(hh, p), tr: tr}, p), tr
 }
 
 // ReplanSchedule rebuilds the traced schedule on a drifted problem. p must
@@ -387,7 +376,7 @@ func (r *Replanner) resetReplayer(p *Problem, tr *BuildTrace, changed int, s *st
 		}
 		// Lazy extremum heap for the drifted receiver's own lookahead term
 		// (its whole weight row drifted, so the trace says nothing).
-		rp.chLA.es = laEntriesFor(rp.chLA.es[:0], tr.h, p, changed, -1)
+		rp.chLA.es = laEntriesFor(rp.chLA.es[:0], tr.h, p, changed)
 		rp.chLA.heapify()
 	}
 	// Exact key of the drifted receiver (its column drifted, so the trace
@@ -717,7 +706,7 @@ func (rp *replayer) warmEngine(p *Problem, s *state) *ecefEngine {
 				continue
 			}
 			start := len(backing)
-			backing = laEntriesFor(backing, rp.h, p, j, -1)
+			backing = laEntriesFor(backing, rp.h, p, j)
 			ls.la[j].es = backing[start:len(backing):len(backing)]
 			ls.la[j].heapify()
 			ls.cache(j, ls.la[j].top(s.inA))

@@ -118,7 +118,7 @@ func TestReplannerReuseByteIdentical(t *testing.T) {
 func TestReplanRejectsInapplicableTrace(t *testing.T) {
 	g := topology.Grid5000()
 	p := MustProblem(g, 0, 1<<20, Options{})
-	sc, tr := ScheduleTraced(nil, ECEFLAT(), p)
+	sc, tr := ScheduleTraced(NewEnginePool(), ECEFLAT(), p)
 	if ReplanSchedule(p, sc, nil, 0) != nil {
 		t.Error("nil trace accepted")
 	}
@@ -144,7 +144,7 @@ func TestScheduleTracedNonTraceable(t *testing.T) {
 	g := topology.Grid5000()
 	p := MustProblem(g, 0, 1<<20, Options{})
 	for _, h := range Paper() {
-		sc, tr := ScheduleTraced(nil, h, p)
+		sc, tr := ScheduleTraced(NewEnginePool(), h, p)
 		if Traceable(h) {
 			if tr == nil {
 				t.Errorf("%s: traceable but no trace", h.Name())
@@ -217,13 +217,13 @@ func FuzzReplanEquivalence(f *testing.F) {
 				t.Fatalf("%s: replan diverges from rebuild (seed %d n %d changed %d factor %g)",
 					h.Name(), seed, p.N, changed, factor)
 			}
-			// Unpooled trace, same contract.
-			scu, tru := ScheduleTraced(nil, h, p)
+			// A fresh pool's trace, same contract.
+			scu, tru := ScheduleTraced(NewEnginePool(), h, p)
 			if !reflect.DeepEqual(scu, sc) {
-				t.Fatalf("%s: pooled and unpooled traced builds diverge", h.Name())
+				t.Fatalf("%s: warm-pool and fresh-pool traced builds diverge", h.Name())
 			}
 			if gotu := ReplanSchedule(pNew, scu, tru, changed); !reflect.DeepEqual(gotu, want) {
-				t.Fatalf("%s: unpooled replan diverges from rebuild", h.Name())
+				t.Fatalf("%s: fresh-pool replan diverges from rebuild", h.Name())
 			}
 		}
 	})

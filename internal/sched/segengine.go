@@ -134,14 +134,12 @@ type segRecvCache struct {
 	lastI int32 // sender of the previous round (-1 before round 0)
 }
 
-// transposeInto fills dst (n rows of n, allocating when nil) with src^T.
-func transposeInto(dst [][]float64, src [][]float64, n int) [][]float64 {
-	if dst == nil {
-		dst = make([][]float64, n)
-		backing := make([]float64, n*n)
-		for j := 0; j < n; j++ {
-			dst[j] = backing[j*n : (j+1)*n : (j+1)*n]
-		}
+// transpose returns src^T for an n×n matrix, in one backing array.
+func transpose(src [][]float64, n int) [][]float64 {
+	dst := make([][]float64, n)
+	backing := make([]float64, n*n)
+	for j := 0; j < n; j++ {
+		dst[j] = backing[j*n : (j+1)*n : (j+1)*n]
 	}
 	for i := 0; i < n; i++ {
 		row := src[i]
@@ -152,34 +150,11 @@ func transposeInto(dst [][]float64, src [][]float64, n int) [][]float64 {
 	return dst
 }
 
-func newSegRecvCache(sp *SegmentedProblem) segRecvCache {
-	n := sp.N
-	rc := segRecvCache{
-		heaps:      make([]segSenderHeap, n),
-		integrated: make([]int32, n),
-		joined:     make([]int32, 0, n),
-		cKey:       make([]float64, n),
-		cSnd:       make([]int32, n),
-		nq:         make([]int32, n),
-		rem:        make([]int32, 0, n),
-		last:       make([]float64, n),
-	}
-	rc.reset(sp)
-	return rc
-}
-
-// reset re-targets the cache at sp, keeping every allocation (lazily grown
-// heaps, and the transposes when the cache owns them). The engine pool uses
-// resetWith instead, with transposes cached per matrix identity.
-func (rc *segRecvCache) reset(sp *SegmentedProblem) {
-	rc.resetWith(sp, transposeInto(rc.gsT, sp.Gs, sp.N), transposeInto(rc.wlT, sp.Wl, sp.N))
-}
-
-// resetWith is reset with caller-provided transposes of sp.Gs and sp.Wl.
-// The pooled path passes the EnginePool's per-matrix-identity cached
-// transposes, which are shared and read-only: the cache only ever reads
-// gsT/wlT, so aliasing them across engines is safe and skips the O(N²)
-// rebuild that used to dominate pooled ladder-search setup.
+// resetWith re-targets the cache at sp, keeping every allocation (lazily
+// grown heaps included). gsT and wlT are the EnginePool's per-matrix-
+// identity cached transposes of sp.Gs and sp.Wl, which are shared and
+// read-only: the cache only ever reads them, so aliasing them across
+// engines is safe and skips the O(N²) rebuild per schedule.
 func (rc *segRecvCache) resetWith(sp *SegmentedProblem, gsT, wlT [][]float64) {
 	rc.sp = sp
 	rc.kg1 = float64(sp.K - 1)
@@ -329,14 +304,6 @@ type segEcefEngine struct {
 	lookaheadSet
 }
 
-func newSegEcefEngine(h ecef, sp *SegmentedProblem) *segEcefEngine {
-	e := &segEcefEngine{h: h, rc: newSegRecvCache(sp)}
-	if h.kind != laNone {
-		e.build(h, sp.laProblem())
-	}
-	return e
-}
-
 func (e *segEcefEngine) segName() string { return e.h.name }
 
 func (e *segEcefEngine) pickSeg(sp *SegmentedProblem, st *segState) (int, int) {
@@ -366,10 +333,6 @@ func (e *segEcefEngine) pickSeg(sp *SegmentedProblem, st *segState) (int, int) {
 
 // segBuEngine is the incremental segmented BottomUp picker.
 type segBuEngine struct{ rc segRecvCache }
-
-func newSegBuEngine(sp *SegmentedProblem) *segBuEngine {
-	return &segBuEngine{rc: newSegRecvCache(sp)}
-}
 
 func (e *segBuEngine) segName() string { return BottomUp{}.Name() }
 
@@ -418,22 +381,4 @@ func (e *flatSegEngine) pickSeg(sp *SegmentedProblem, st *segState) (int, int) {
 			return sp.Root, j
 		}
 	}
-}
-
-// segEnginePolicyFor returns the incremental segmented picker for h, or nil
-// when h has none.
-func segEnginePolicyFor(h Heuristic, sp *SegmentedProblem) segPolicy {
-	switch hh := h.(type) {
-	case FlatTree:
-		return &flatSegEngine{d: 1}
-	case FEF:
-		return &segFefEngine{e: newFEFEngine(hh, sp.Problem)}
-	case ecef:
-		return newSegEcefEngine(hh, sp)
-	case BottomUp:
-		return newSegBuEngine(sp)
-	case Mixed:
-		return segEnginePolicyFor(hh.inner(sp.Problem), sp)
-	}
-	return nil
 }

@@ -23,13 +23,7 @@ func assertSegIdentical(t *testing.T, label string, inc, ref *SegmentedSchedule)
 // the segEngineMinN routing gate, so small golden platforms (Grid5000 has
 // 6 clusters) still pin the engine itself and not naive-vs-naive.
 func segEngineSchedule(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	pol := segEnginePolicyFor(h, sp)
-	if pol == nil {
-		return ScheduleSegmented(h, sp)
-	}
-	ss := runSegmented(pol, sp)
-	ss.Heuristic = h.Name()
-	return ss
+	return NewEnginePool().scheduleSegmentedOnce(h, sp)
 }
 
 // TestSegmentedEngineMatchesReferenceGrid5000 pins the golden equivalence
@@ -118,8 +112,8 @@ func TestSegmentedEngineLargeGrid(t *testing.T) {
 }
 
 // TestEnginePoolSegmented checks the pooled segmented path against the
-// unpooled engine (and hence the naive reference) across heuristics, roots
-// and repeated reuse of one pool — the buffer-recycling contract.
+// naive reference across heuristics, roots and repeated reuse of one pool
+// — the buffer-recycling contract.
 func TestEnginePoolSegmented(t *testing.T) {
 	g := topology.Grid5000()
 	ep := NewEnginePool()
@@ -128,7 +122,7 @@ func TestEnginePoolSegmented(t *testing.T) {
 			sp := MustSegmentedProblem(g, root, m, 128<<10, Options{})
 			for _, h := range segmentedHeuristics() {
 				pooled := ep.ScheduleSegmented(h, sp)
-				assertSegIdentical(t, h.Name(), pooled, ScheduleSegmented(h, sp))
+				assertSegIdentical(t, h.Name(), pooled, ScheduleSegmentedReference(h, sp))
 			}
 		}
 	}
@@ -138,7 +132,7 @@ func TestEnginePoolSegmented(t *testing.T) {
 	for _, segSize := range []int64{1 << 20, 64 << 10} {
 		sp := MustSegmentedProblem(g2, 1, 1<<20, segSize, Options{Overlap: true})
 		for _, h := range segmentedHeuristics() {
-			assertSegIdentical(t, h.Name(), ep.ScheduleSegmented(h, sp), ScheduleSegmented(h, sp))
+			assertSegIdentical(t, h.Name(), ep.ScheduleSegmented(h, sp), ScheduleSegmentedReference(h, sp))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -97,11 +98,11 @@ func TestPipelinedSegmentedLocalNeverWorseGrid5000(t *testing.T) {
 	for _, overlap := range []bool{false, true} {
 		for _, m := range []int64{4 << 20, 16 << 20} {
 			for root := 0; root < g.N(); root++ {
-				base, err := (Pipelined{}).Best(g, root, m, Options{Overlap: overlap})
+				base, err := (Pipelined{}).BestContext(context.Background(), NewEnginePool(), g, root, m, Options{Overlap: overlap})
 				if err != nil {
 					t.Fatal(err)
 				}
-				local, err := (Pipelined{}).Best(g, root, m, Options{Overlap: overlap, SegmentedLocal: true})
+				local, err := (Pipelined{}).BestContext(context.Background(), NewEnginePool(), g, root, m, Options{Overlap: overlap, SegmentedLocal: true})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -639,32 +639,28 @@ func coordGuard(h Heuristic, sp *SegmentedProblem, build func(*SegmentedProblem)
 }
 
 // ScheduleSegmented builds a pipelined schedule for sp with the segment-aware
-// variant of h. Every paper heuristic (and Mixed) has a native segmented
-// greedy — served by the incremental segmented engine (segengine.go), which
-// is bit-identical to the naive pickers retained below; other heuristics
-// fall back to their unsegmented tree, exactly re-timed under the
-// per-segment model. Under the end-to-end pipeline the result is never
-// worse than h's coordinator-only schedule at the same segmentation
-// (coordGuard).
+// variant of h, through a pool checked out for the call (see
+// EnginePool.ScheduleSegmented). Every paper heuristic (and Mixed) has a
+// native segmented greedy — served by the incremental segmented engine
+// (segengine.go), which is bit-identical to the naive pickers retained
+// below; other heuristics fall back to their unsegmented tree, exactly
+// re-timed under the per-segment model.
 func ScheduleSegmented(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	return coordGuard(h, sp, func(spx *SegmentedProblem) *SegmentedSchedule {
-		return scheduleSegmentedOnce(h, spx)
-	})
+	ep := pools.Get().(*EnginePool)
+	defer pools.Put(ep)
+	return ep.ScheduleSegmented(h, sp)
 }
 
-func scheduleSegmentedOnce(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	var pol segPolicy
-	if referencePick || sp.N < segEngineMinN {
-		pol = segPolicyFor(h, sp)
-	} else {
-		pol = segEnginePolicyFor(h, sp)
-	}
+// segmentedWith runs the segmented picker pol on sp, or — when h has no
+// native segmented picker (pol == nil) — re-times fallback's unsegmented
+// tree under the per-segment model.
+func segmentedWith(h Heuristic, sp *SegmentedProblem, pol segPolicy, fallback Heuristic) *SegmentedSchedule {
+	var ss *SegmentedSchedule
 	if pol == nil {
-		ss := EvaluateSegmented(sp, pairsOf(h.Schedule(sp.Problem)))
-		ss.Heuristic = h.Name()
-		return ss
+		ss = EvaluateSegmented(sp, pairsOf(fallback.Schedule(sp.Problem)))
+	} else {
+		ss = runSegmented(pol, sp)
 	}
-	ss := runSegmented(pol, sp)
 	ss.Heuristic = h.Name()
 	return ss
 }
@@ -675,20 +671,12 @@ func scheduleSegmentedOnce(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule
 // ScheduleSegmented's in every field; only the construction cost differs.
 func ScheduleSegmentedReference(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
 	return coordGuard(h, sp, func(spx *SegmentedProblem) *SegmentedSchedule {
-		pol := segPolicyFor(h, spx)
-		if pol == nil {
-			ss := EvaluateSegmented(spx, pairsOf(Reference{Base: h}.Schedule(spx.Problem)))
-			ss.Heuristic = h.Name()
-			return ss
-		}
-		ss := runSegmented(pol, spx)
-		ss.Heuristic = h.Name()
-		return ss
+		return segmentedWith(h, spx, segPolicyFor(h, spx), Reference{Base: h})
 	})
 }
 
 // segPolicyFor returns the native NAIVE segmented picker for h, or nil when
-// h has none (see segEnginePolicyFor for the incremental counterparts).
+// h has none (see EnginePool.segEngineFor for the incremental counterparts).
 func segPolicyFor(h Heuristic, sp *SegmentedProblem) segPolicy {
 	switch hh := h.(type) {
 	case FlatTree:
@@ -758,20 +746,14 @@ func (pl Pipelined) base() Heuristic {
 // Name implements the naming convention of the heuristic registry.
 func (pl Pipelined) Name() string { return "Pipelined-" + pl.base().Name() }
 
-// Best schedules a broadcast of m bytes from root on g at every ladder
-// segment size and returns the schedule with the smallest makespan. Ties
-// resolve to the earliest ladder entry (largest segments, least overhead).
-func (pl Pipelined) Best(g *topology.Grid, root int, m int64, opt Options) (*SegmentedSchedule, error) {
-	return pl.BestContext(context.Background(), nil, g, root, m, opt)
-}
-
-// BestContext is Best with cooperative cancellation and optional engine
-// pooling. ctx is checked before each ladder candidate, so a cancelled
-// search returns ctx's error within one rung's construction time. A non-nil
-// ep routes every candidate through the pool, reusing the candidate caches,
-// lookahead templates and the per-matrix-identity Gs/Wl transposes across
-// rungs and across repeated searches on one platform; the produced schedule
-// is identical either way (the pool's equivalence contract).
+// BestContext schedules a broadcast of m bytes from root on g at every
+// ladder segment size through ep and returns the schedule with the smallest
+// makespan. Ties resolve to the earliest ladder entry (largest segments,
+// least overhead). ctx is checked before each ladder candidate, so a
+// cancelled search returns ctx's error within one rung's construction
+// time. The pool reuses the candidate caches, lookahead templates and the
+// per-matrix-identity Gs/Wl transposes across rungs and across repeated
+// searches on one platform.
 func (pl Pipelined) BestContext(ctx context.Context, ep *EnginePool, g *topology.Grid, root int, m int64, opt Options) (*SegmentedSchedule, error) {
 	ladder := pl.Ladder
 	if len(ladder) == 0 {
@@ -786,12 +768,7 @@ func (pl Pipelined) BestContext(ctx context.Context, ep *EnginePool, g *topology
 		if err != nil {
 			return nil, err
 		}
-		var ss *SegmentedSchedule
-		if ep != nil {
-			ss = ep.ScheduleSegmented(pl.base(), sp)
-		} else {
-			ss = ScheduleSegmented(pl.base(), sp)
-		}
+		ss := ep.ScheduleSegmented(pl.base(), sp)
 		if best == nil || ss.Makespan < best.Makespan {
 			best = ss
 		}

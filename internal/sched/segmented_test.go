@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -202,14 +203,14 @@ func TestSegmentedOverheadBound(t *testing.T) {
 }
 
 // TestPipelinedNeverWorse pins the ladder contract: the unsegmented size is
-// always a candidate, so Pipelined.Best is never worse than its base
+// always a candidate, so Pipelined.BestContext is never worse than its base
 // heuristic.
 func TestPipelinedNeverWorse(t *testing.T) {
 	g := topology.Grid5000()
 	for _, m := range []int64{1 << 10, 1 << 20, 16 << 20} {
 		p := MustProblem(g, 0, m, Options{})
 		for _, h := range []Heuristic{Mixed{}, ECEFLAT(), FlatTree{}} {
-			best, err := Pipelined{Base: h}.Best(g, 0, m, Options{})
+			best, err := Pipelined{Base: h}.BestContext(context.Background(), NewEnginePool(), g, 0, m, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +239,7 @@ func TestPipelinedBeatsUnsegmentedLargeMessage(t *testing.T) {
 				bestUnseg = span
 			}
 		}
-		best, err := Pipelined{}.Best(g, 0, m, Options{})
+		best, err := Pipelined{}.BestContext(context.Background(), NewEnginePool(), g, 0, m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,6 +37,11 @@ func ParsePlatformSpec(s string) (PlatformSpec, error) {
 	return PlatformSpec{Name: name, Source: source}, nil
 }
 
+// MaxRandomClusters caps n in a "random:<seed>:<n>" source. A random grid
+// holds n² pLogP entries and every plan costs O(n²) matrices, so an
+// unbounded n in a registry spec or reload could exhaust memory.
+const MaxRandomClusters = 4096
+
 // LoadGridSource resolves a platform source string to a validated grid.
 // File-backed sources re-read the file on every call, which is what makes
 // Registry.Reload pick up re-measured fits.
@@ -53,6 +58,9 @@ func LoadGridSource(source string) (*gridbcast.Grid, error) {
 		n, err2 := strconv.Atoi(parts[2])
 		if err1 != nil || err2 != nil || n < 1 {
 			return nil, fmt.Errorf("service: source %q: bad seed or cluster count", source)
+		}
+		if n > MaxRandomClusters {
+			return nil, fmt.Errorf("service: source %q: %d clusters exceeds the limit of %d", source, n, MaxRandomClusters)
 		}
 		return gridbcast.RandomGrid(seed, n), nil
 	case strings.HasSuffix(source, ".fits"):

@@ -45,7 +45,7 @@ func TestLoadGridSource(t *testing.T) {
 	if g, err = LoadGridSource("random:7:5"); err != nil || g.N() != 5 {
 		t.Fatalf("random source: grid %v err %v", g, err)
 	}
-	for _, bad := range []string{"random:7", "random:x:5", "random:7:0", "no-such-file.json"} {
+	for _, bad := range []string{"random:7", "random:x:5", "random:7:0", "random:1:4097", "random:1:1000000", "no-such-file.json"} {
 		if _, err := LoadGridSource(bad); err == nil {
 			t.Errorf("LoadGridSource(%q): want error", bad)
 		}

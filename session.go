@@ -4,8 +4,7 @@ package gridbcast
 // cost a platform, schedule with a heuristic, optionally segment, optionally
 // refine, then execute on the virtual grid — and this file expresses it as
 // one composable request path instead of a combinatorial family of
-// Predict/Simulate variants (which survive in gridbcast.go as thin
-// deprecated wrappers over a Session).
+// per-call Predict/Simulate variants.
 
 import (
 	"context"
@@ -646,7 +645,7 @@ func (s *Session) planUncached(req Request) (*Plan, error) {
 			pl.Candidates = append(pl.Candidates, Candidate{Heuristic: name, Makespan: span})
 		}
 		// Strictly-smaller adoption: ties resolve to the earliest candidate,
-		// matching the legacy Best (sched.BestOf) tie-break exactly.
+		// matching sched.BestOf's tie-break exactly.
 		if pl.Schedule == nil && pl.Segmented == nil || span < pl.Makespan {
 			pl.Schedule, pl.Segmented = sc, ss
 			pl.Heuristic, pl.Makespan = name, span
@@ -675,12 +674,12 @@ func (s *Session) planUncached(req Request) (*Plan, error) {
 // many schedules were built. p/sp is the pre-costed problem for the mode
 // (nil in pipelined mode, whose ladder costs one problem per rung).
 func (s *Session) buildOne(ctx context.Context, ep *sched.EnginePool, h Heuristic, req Request, p *sched.Problem, sp *sched.SegmentedProblem) (sc *Schedule, ss *SegmentedSchedule, tr *sched.BuildTrace, built int, err error) {
+	if pb := scanBuilderFor(req); pb != nil {
+		ep.Scan = pb
+		defer func() { ep.Scan = nil; returnScanBuilder(pb) }()
+	}
 	switch {
 	case req.pipelined:
-		if pb := scanBuilderFor(req); pb != nil {
-			ep.Scan = pb
-			defer func() { ep.Scan = nil; returnScanBuilder(pb) }()
-		}
 		opt := sched.Options{Overlap: req.overlap, SegmentedLocal: req.segLocal}
 		ladder := sched.DefaultSegmentLadder(req.size)
 		ss, err = sched.Pipelined{Base: h, Ladder: ladder}.BestContext(ctx, ep, s.g, req.root, req.size, opt)
@@ -689,16 +688,9 @@ func (s *Session) buildOne(ctx context.Context, ep *sched.EnginePool, h Heuristi
 		}
 		return nil, ss, nil, len(ladder), nil
 	case req.segmented:
-		if pb := scanBuilderFor(req); pb != nil {
-			ep.Scan = pb
-			defer func() { ep.Scan = nil; returnScanBuilder(pb) }()
-		}
 		return nil, ep.ScheduleSegmented(h, sp), nil, 1, nil
 	default:
-		if pb := scanBuilderFor(req); pb != nil {
-			sc = pb.Schedule(h, p)
-			returnScanBuilder(pb)
-		} else if req.replan && req.heuristic != nil && !req.refineSet {
+		if ep.Scan == nil && req.replan && req.heuristic != nil && !req.refineSet {
 			// Traced build: bit-identical schedule plus the replay log
 			// Session.Replan consumes (nil for non-traceable heuristics).
 			sc, tr = sched.ScheduleTraced(ep, h, p)

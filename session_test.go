@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	gridbcast "gridbcast"
-	"gridbcast/internal/sched"
 )
 
 func mustPlan(t *testing.T, s *gridbcast.Session, opts ...gridbcast.Option) *gridbcast.Plan {
@@ -31,172 +30,6 @@ func mustSession(t *testing.T, g *gridbcast.Grid) *gridbcast.Session {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// TestLegacyWrappersEquivalentToSession pins every legacy entry point
-// byte-identical (reflect.DeepEqual over every field) to its Session-based
-// replacement, and — where the pre-Session implementation is still
-// reachable through internal/sched — to the original code path too.
-func TestLegacyWrappersEquivalentToSession(t *testing.T) {
-	g := gridbcast.Grid5000()
-	sess := mustSession(t, g)
-	const root, size = 1, int64(4 << 20)
-
-	t.Run("Predict", func(t *testing.T) {
-		got, err := gridbcast.Predict(g, root, size, "ECEF-LAT")
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.ECEFLAT),
-			gridbcast.WithRoot(root), gridbcast.WithSize(size))
-		if !reflect.DeepEqual(got, plan.Schedule) {
-			t.Error("Predict != Session.Plan")
-		}
-		raw := sched.ECEFLAT().Schedule(sched.MustProblem(g, root, size, sched.Options{}))
-		if !reflect.DeepEqual(got, raw) {
-			t.Error("Predict != pre-Session sched path")
-		}
-	})
-
-	t.Run("PredictParallel", func(t *testing.T) {
-		got, err := gridbcast.PredictParallel(g, root, size, "BottomUp", 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.BottomUp),
-			gridbcast.WithRoot(root), gridbcast.WithSize(size), gridbcast.WithScanWorkers(3))
-		if !reflect.DeepEqual(got, plan.Schedule) {
-			t.Error("PredictParallel != Session.Plan(WithScanWorkers)")
-		}
-		raw := sched.ParallelBuild(sched.BottomUp{}, sched.MustProblem(g, root, size, sched.Options{}), 3)
-		if !reflect.DeepEqual(got, raw) {
-			t.Error("PredictParallel != sched.ParallelBuild")
-		}
-	})
-
-	t.Run("PredictSegmented", func(t *testing.T) {
-		got, err := gridbcast.PredictSegmented(g, root, size, 256<<10, "Mixed")
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.Mixed),
-			gridbcast.WithRoot(root), gridbcast.WithSize(size), gridbcast.WithSegments(256<<10))
-		if !reflect.DeepEqual(got, plan.Segmented) {
-			t.Error("PredictSegmented != Session.Plan(WithSegments)")
-		}
-		sp := sched.MustSegmentedProblem(g, root, size, 256<<10, sched.Options{})
-		if !reflect.DeepEqual(got, sched.ScheduleSegmented(sched.Mixed{}, sp)) {
-			t.Error("PredictSegmented != pre-Session sched path")
-		}
-	})
-
-	t.Run("PredictPipelined", func(t *testing.T) {
-		got, err := gridbcast.PredictPipelined(g, root, size, "ECEF-LAT")
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.ECEFLAT),
-			gridbcast.WithRoot(root), gridbcast.WithSize(size), gridbcast.WithPipelined())
-		if !reflect.DeepEqual(got, plan.Segmented) {
-			t.Error("PredictPipelined != Session.Plan(WithPipelined)")
-		}
-		raw, err := sched.Pipelined{Base: sched.ECEFLAT()}.Best(g, root, size, sched.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, raw) {
-			t.Error("PredictPipelined != sched.Pipelined.Best")
-		}
-		if plan.SegSize != plan.Segmented.SegSize || plan.K != plan.Segmented.K {
-			t.Errorf("plan segmentation (%d, K=%d) does not echo the schedule (%d, K=%d)",
-				plan.SegSize, plan.K, plan.Segmented.SegSize, plan.Segmented.K)
-		}
-	})
-
-	t.Run("Simulate", func(t *testing.T) {
-		jitter := gridbcast.NetConfig{Jitter: 0.02, Seed: 5}
-		got, err := gridbcast.Simulate(g, root, size, "ECEF", jitter)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.ECEF),
-			gridbcast.WithRoot(root), gridbcast.WithSize(size), gridbcast.WithNet(jitter))
-		want, err := sess.Execute(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Error("Simulate != Session.Plan + Execute")
-		}
-	})
-
-	t.Run("SimulateSegmented", func(t *testing.T) {
-		ss := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.Mixed),
-			gridbcast.WithRoot(root), gridbcast.WithSize(size), gridbcast.WithSegments(256<<10)).Segmented
-		got, err := gridbcast.SimulateSegmented(g, ss)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sess.Execute(&gridbcast.Plan{Segmented: ss})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Error("SimulateSegmented != Session.Execute")
-		}
-	})
-
-	t.Run("SimulateBinomial", func(t *testing.T) {
-		got, err := gridbcast.SimulateBinomial(g, root, size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sess.ExecuteBinomial(root, size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Error("SimulateBinomial != Session.ExecuteBinomial")
-		}
-	})
-
-	t.Run("Best", func(t *testing.T) {
-		got, err := gridbcast.Best(g, root, size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := mustPlan(t, sess, gridbcast.WithRoot(root), gridbcast.WithSize(size))
-		if !reflect.DeepEqual(got, plan.Schedule) {
-			t.Error("Best != Session.Plan without WithHeuristic")
-		}
-		best, _ := sched.BestOf(sched.Paper(), sched.MustProblem(g, root, size, sched.Options{}))
-		if !reflect.DeepEqual(got, best) {
-			t.Error("Best != pre-Session sched.BestOf")
-		}
-	})
-
-	t.Run("Refine", func(t *testing.T) {
-		base, err := gridbcast.Predict(g, root, size, "FlatTree")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := gridbcast.Refine(g, root, size, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sess.Refine(context.Background(),
-			&gridbcast.Plan{Root: root, Size: size, Schedule: base}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want.Schedule) {
-			t.Error("Refine != Session.Refine")
-		}
-		raw := sched.Refine(sched.MustProblem(g, root, size, sched.Options{}), base, 0)
-		if !reflect.DeepEqual(got, raw) {
-			t.Error("Refine != pre-Session sched.Refine")
-		}
-	})
 }
 
 // TestBestSurfacesWinnerAndCandidates covers the redesign's fix for the old
@@ -233,8 +66,8 @@ func TestBestSurfacesWinnerAndCandidates(t *testing.T) {
 
 // TestSessionPlanValidation pins the facade-boundary validation: bad roots
 // and sizes return descriptive errors (not panics, and not errors from deep
-// inside problem construction) from both Session.Plan and the legacy
-// wrappers.
+// inside problem construction) from Session.Plan, ExecuteBinomial and
+// Refine.
 func TestSessionPlanValidation(t *testing.T) {
 	g := gridbcast.Grid5000()
 	sess := mustSession(t, g)
@@ -262,24 +95,13 @@ func TestSessionPlanValidation(t *testing.T) {
 		})
 	}
 
-	// Legacy wrappers inherit the boundary validation.
-	if _, err := gridbcast.Predict(g, -3, 1<<20, "ECEF"); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("Predict bad root: %v", err)
+	// The execution and refinement entry points validate the root too.
+	if _, err := sess.ExecuteBinomial(-1, 1<<20); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("ExecuteBinomial bad root: %v", err)
 	}
-	if _, err := gridbcast.Best(g, 99, 1<<20); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("Best bad root: %v", err)
-	}
-	if _, err := gridbcast.SimulateBinomial(g, -1, 1<<20); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("SimulateBinomial bad root: %v", err)
-	}
-	if _, err := gridbcast.Predict(g, 0, -1, "ECEF"); err == nil || !strings.Contains(err.Error(), "negative message size") {
-		t.Errorf("Predict negative size: %v", err)
-	}
-	sc, err := gridbcast.Predict(g, 0, 1<<10, "ECEF")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gridbcast.Refine(g, -1, 1<<10, sc); err == nil || !strings.Contains(err.Error(), "out of range") {
+	sc := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.ECEF), gridbcast.WithSize(1<<10)).Schedule
+	badRoot := &gridbcast.Plan{Root: -1, Size: 1 << 10, Schedule: sc}
+	if _, err := sess.Refine(context.Background(), badRoot, 0); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("Refine bad root: %v", err)
 	}
 }
