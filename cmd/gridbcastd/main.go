@@ -38,6 +38,27 @@ func (p *platformFlags) Set(s string) error {
 	return nil
 }
 
+// Connection timeouts: a client that trickles its headers or body, or parks
+// an idle keep-alive connection, is cut off instead of holding it forever.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server. WriteTimeout stays unset:
+// deadline_ms has no server-side cap, so a write timeout would cut off the
+// response of a legitimately long planning request.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "gridbcastd:", err)
@@ -76,7 +97,7 @@ func run(args []string) error {
 		Log:            logger,
 	})
 
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*listen, srv.Handler())
 
 	// SIGHUP hot-reloads the registry; SIGTERM/SIGINT drain and exit.
 	hup := make(chan os.Signal, 1)

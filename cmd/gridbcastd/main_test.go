@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"strings"
 	"testing"
 )
@@ -26,5 +27,22 @@ func TestRunConfigErrors(t *testing.T) {
 				t.Fatalf("run(%v) = %v, want error containing %q", c.args, err, c.contains)
 			}
 		})
+	}
+}
+
+// TestHTTPServerTimeouts pins the connection timeouts: without them a
+// slow-header client holds a connection forever. WriteTimeout is left unset
+// on purpose (see newHTTPServer).
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(":0", http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Errorf("timeouts not set: read-header %v, read %v, idle %v",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want unset", hs.WriteTimeout)
+	}
+	if hs.Addr != ":0" || hs.Handler == nil {
+		t.Errorf("server not wired: addr %q, handler %v", hs.Addr, hs.Handler)
 	}
 }

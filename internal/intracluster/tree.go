@@ -234,23 +234,3 @@ func Predict(shape Shape, p int, params plogp.Params, m int64) float64 {
 	}
 	return New(shape, p).Completion(params, m)
 }
-
-// PredictSegmentedChain predicts a pipelined chain broadcast that splits the
-// message into segs equal segments (an extension the paper lists as future
-// work for large messages): the chain forwards segment by segment, so the
-// completion time is (p-2+segs)·(g(m/segs)+L) for p ≥ 2. It degrades to the
-// plain chain when segs == 1.
-func PredictSegmentedChain(p int, params plogp.Params, m int64, segs int) float64 {
-	if p <= 1 {
-		return 0
-	}
-	if segs < 1 {
-		panic("intracluster: segments must be >= 1")
-	}
-	seg := m / int64(segs)
-	if seg < 1 {
-		seg = 1
-	}
-	hop := params.Gap(seg) + params.L
-	return float64(p-2+segs) * hop
-}

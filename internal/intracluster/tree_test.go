@@ -167,30 +167,6 @@ func TestArrivalTimesRootZero(t *testing.T) {
 	}
 }
 
-func TestPredictSegmentedChain(t *testing.T) {
-	params := plogp.Params{L: 0.001, G: plogp.Linear(0.001, 1e-8)}
-	m := int64(1 << 20)
-	plain := Predict(Chain, 10, params, m)
-	seg1 := PredictSegmentedChain(10, params, m, 1)
-	if math.Abs(plain-seg1) > 1e-12 {
-		t.Errorf("segs=1 (%g) should equal plain chain (%g)", seg1, plain)
-	}
-	// For a long chain and a large message, pipelining must win.
-	seg8 := PredictSegmentedChain(10, params, m, 8)
-	if seg8 >= seg1 {
-		t.Errorf("pipelined chain (%g) should beat plain (%g)", seg8, seg1)
-	}
-	if PredictSegmentedChain(1, params, m, 4) != 0 {
-		t.Error("single node should be free")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("segs=0 should panic")
-		}
-	}()
-	PredictSegmentedChain(10, params, m, 0)
-}
-
 // Property: every shape over any p is a valid spanning tree and completion
 // is non-negative and monotone in message size under a linear gap.
 func TestTreeProperty(t *testing.T) {

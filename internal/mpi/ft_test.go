@@ -21,9 +21,16 @@ func coordEndpoint(g *topology.Grid, c int) int {
 	return off
 }
 
+// armedFT returns options that arm the receive deadlines without changing a
+// single message: the plan is non-empty, but its one loss rule has a zero
+// drop budget, so it never fires.
+func armedFT() Options {
+	return Options{Net: vnet.Config{Faults: &vnet.FaultPlan{Loss: []vnet.Loss{{From: 0, To: 1}}}}}
+}
+
 // TestFTPathMatchesPredictionWithoutFaults pins the fault-tolerant receive
-// path against the analytic model: with FT options set but no faults
-// injected, every deadline is met and the measured makespan must still match
+// path against the analytic model: with deadlines armed but no fault firing,
+// every deadline is met and the measured makespan must still match
 // the prediction exactly, with a fully-completed report.
 func TestFTPathMatchesPredictionWithoutFaults(t *testing.T) {
 	r := stats.NewRand(77)
@@ -32,7 +39,7 @@ func TestFTPathMatchesPredictionWithoutFaults(t *testing.T) {
 		p := sched.MustProblem(g, 0, 1<<20, sched.Options{})
 		for _, h := range sched.Paper() {
 			sc := h.Schedule(p)
-			res, err := ExecuteSchedule(g, sc, 1<<20, Options{FT: &FTOptions{}})
+			res, err := ExecuteSchedule(g, sc, 1<<20, armedFT())
 			if err != nil {
 				t.Fatalf("%s: %v", h.Name(), err)
 			}
@@ -218,6 +225,13 @@ func TestExecuteCancelled(t *testing.T) {
 	}
 	if _, err := ExecuteBinomialGridUnaware(g, 0, 1<<20, Options{Ctx: ctx}); err != context.Canceled {
 		t.Errorf("ExecuteBinomialGridUnaware err = %v, want context.Canceled", err)
+	}
+	ss, err := sched.Pipelined{Base: sched.ECEFLAT()}.BestContext(context.Background(), sched.NewEnginePool(), g, 0, 1<<20, sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExecuteSegmentedSchedule(g, ss, Options{Ctx: ctx}); err != context.Canceled {
+		t.Errorf("ExecuteSegmentedSchedule err = %v, want context.Canceled", err)
 	}
 }
 

@@ -84,7 +84,7 @@ func goldenRuns() (faultFree, faulted *Result, err error) {
 	p := sched.MustProblem(g, 0, 1<<20, sched.Options{})
 	sc := sched.ECEFLAT().Schedule(p)
 
-	faultFree, err = ExecuteSchedule(g, sc, 1<<20, Options{FT: &FTOptions{}})
+	faultFree, err = ExecuteSchedule(g, sc, 1<<20, armedFT())
 	if err != nil {
 		return nil, nil, fmt.Errorf("fault-free FT run: %v", err)
 	}

@@ -35,8 +35,9 @@ type Options struct {
 	// IntraShape is the local broadcast tree (default binomial, as in
 	// MagPIe and the paper).
 	IntraShape intracluster.Shape
-	// Net configures network non-idealities (jitter, software overhead).
-	// The zero value reproduces analytic predictions exactly.
+	// Net configures network non-idealities (jitter, software overhead,
+	// faults). The zero value reproduces analytic predictions exactly; a
+	// non-empty Net.Faults plan arms ExecuteSchedule's receive deadlines.
 	Net vnet.Config
 	// Overlap names the completion model the schedule was built under
 	// (sched.Options.Overlap). It only affects the pre-execution schedule
@@ -47,11 +48,6 @@ type Options struct {
 	// Ctx, when non-nil, cancels the simulation cooperatively between event
 	// batches (the run returns ctx.Err()).
 	Ctx context.Context
-	// FT tunes the failure-aware execution path (receive deadlines and
-	// orphan re-parenting); nil selects the defaults. The path activates
-	// when Net.Faults is non-empty or FT is set explicitly — the fault-free
-	// path is bit-for-bit unchanged otherwise.
-	FT *FTOptions
 }
 
 // Result is the outcome of one executed broadcast.
@@ -94,127 +90,14 @@ func ExecuteSchedule(g *topology.Grid, sc *sched.Schedule, m int64, opt Options)
 	if err := sc.Validate(prob); err != nil {
 		return nil, fmt.Errorf("mpi: refusing invalid schedule: %w", err)
 	}
-
-	n := g.N()
-	offsets := make([]int, n)
-	clusterOf := make([]int, 0, g.TotalNodes())
-	for c := 0; c < n; c++ {
-		offsets[c] = len(clusterOf)
-		for r := 0; r < g.Clusters[c].Nodes; r++ {
-			clusterOf = append(clusterOf, c)
+	sends := sendLists(g.N(), sc.Events)
+	return run(g, sched.Layout(g, 0), opt, " (lost message?)", func(w *world) func() {
+		ex := newWholeExec(w, sc, m, opt)
+		for c, dsts := range sends {
+			ex.startCluster(c, dsts)
 		}
-	}
-	link := func(from, to int) plogp.Params {
-		cf, ct := clusterOf[from], clusterOf[to]
-		if cf == ct {
-			return g.Clusters[cf].Intra
-		}
-		return g.Inter[cf][ct]
-	}
-	env := sim.New()
-	nw := vnet.New(env, len(clusterOf), link, opt.Net)
-
-	// Group the schedule's transmissions by sender, keeping round order:
-	// that is the order each coordinator works through its send list.
-	sends := make([][]int, n) // destination cluster ids
-	for _, ev := range sc.Events {
-		sends[ev.From] = append(sends[ev.From], ev.To)
-	}
-
-	res := &Result{
-		ClusterCompletion:  make([]float64, n),
-		CoordinatorArrival: make([]float64, n),
-		Completed:          make([]bool, n),
-	}
-
-	var ex *ftExec
-	if opt.FT != nil || !opt.Net.Faults.Empty() {
-		ex = newFTExec(env, nw, g, sc, offsets, m, opt, res)
-		for c := 0; c < n; c++ {
-			ex.startCluster(c, sends[c])
-		}
-	} else {
-		for c := 0; c < n; c++ {
-			startClusterProcesses(env, nw, g, c, c == sc.Root, offsets[c], sends[c], offsets, m, opt, res)
-		}
-	}
-	if err := runEnv(env, opt.Ctx); err != nil {
-		return nil, err
-	}
-	if live := env.Live(); live != 0 {
-		env.Shutdown()
-		return nil, fmt.Errorf("mpi: %d processes never completed (lost message?)", live)
-	}
-	if ex != nil {
-		ex.finish()
-	} else {
-		for c := range res.Completed {
-			res.Completed[c] = true
-		}
-		res.NodesReached = g.TotalNodes()
-	}
-	for _, comp := range res.ClusterCompletion {
-		if comp > res.Makespan {
-			res.Makespan = comp
-		}
-	}
-	res.Messages, res.Bytes = nw.Messages, nw.Bytes
-	res.Retries, res.Lost = nw.Redelivered, nw.Lost
-	return res, nil
-}
-
-// startClusterProcesses spawns the coordinator and local node processes of
-// one cluster.
-func startClusterProcesses(env *sim.Env, nw *vnet.Network, g *topology.Grid, c int, isRoot bool,
-	coord int, destinations []int, offsets []int, m int64, opt Options, res *Result) {
-
-	cl := g.Clusters[c]
-	var tree *intracluster.Tree
-	arrivals := make([]float64, cl.Nodes)
-	if cl.BcastTime == 0 && cl.Nodes > 1 {
-		tree = intracluster.New(opt.IntraShape, cl.Nodes)
-	}
-
-	env.Process(fmt.Sprintf("coord-%s", cl.Name), func(p *sim.Proc) {
-		if !isRoot {
-			msg := nw.RecvMatch(p, coord, func(msg *vnet.Message) bool { return msg.Tag == TagInter })
-			res.CoordinatorArrival[c] = msg.ArrivedAt
-		}
-		for _, dst := range destinations {
-			nw.Send(p, coord, offsets[dst], m, TagInter, nil)
-		}
-		// Local broadcast: either the modelled fixed time (the paper's §6
-		// Monte-Carlo clusters) or a real message-level tree.
-		switch {
-		case cl.BcastTime > 0:
-			p.Wait(cl.BcastTime)
-			res.ClusterCompletion[c] = p.Now()
-		case cl.Nodes == 1:
-			res.ClusterCompletion[c] = p.Now()
-		default:
-			arrivals[0] = p.Now()
-			for _, child := range tree.Children[0] {
-				nw.Send(p, coord, coord+child, m, TagIntra, nil)
-			}
-		}
+		return ex.finish
 	})
-
-	if tree == nil {
-		return
-	}
-	for r := 1; r < cl.Nodes; r++ {
-		env.Process(fmt.Sprintf("%s-%d", cl.Name, r), func(p *sim.Proc) {
-			msg := nw.RecvMatch(p, coord+r, func(msg *vnet.Message) bool { return msg.Tag == TagIntra })
-			arrivals[r] = msg.ArrivedAt
-			for _, child := range tree.Children[r] {
-				nw.Send(p, coord+r, coord+child, m, TagIntra, nil)
-			}
-			// The last arrival in the cluster closes the local broadcast.
-			if msg.ArrivedAt > res.ClusterCompletion[c] {
-				res.ClusterCompletion[c] = msg.ArrivedAt
-			}
-		})
-	}
 }
 
 // ExecuteBinomialGridUnaware runs the grid-unaware binomial broadcast (the
@@ -231,6 +114,67 @@ func ExecuteBinomialGridUnaware(g *topology.Grid, rootCluster int, m int64, opt 
 		return nil, err
 	}
 	layout := sched.Layout(g, rootCluster)
+	tree := intracluster.New(intracluster.Binomial, len(layout))
+	return run(g, layout, opt, "", func(w *world) func() {
+		record := func(rank int, at float64) {
+			// Clusters modelled by an explicit BcastTime still pay their
+			// local broadcast after their node receives the message.
+			c := layout[rank].Cluster
+			if bt := g.Clusters[c].BcastTime; bt > 0 {
+				at += bt
+			}
+			if at > w.res.ClusterCompletion[c] {
+				w.res.ClusterCompletion[c] = at
+			}
+		}
+		for rank := range layout {
+			w.env.Process(fmt.Sprintf("rank-%d", rank), func(p *sim.Proc) {
+				if rank != 0 {
+					msg := w.nw.Recv(p, rank)
+					record(rank, msg.ArrivedAt)
+				} else {
+					record(0, 0) // the root holds the message at t=0
+				}
+				for _, child := range tree.Children[rank] {
+					w.nw.Send(p, rank, child, m, TagIntra, nil)
+				}
+			})
+		}
+		return nil
+	})
+}
+
+// world is the simulated machine set of one execution: the kernel, the
+// network, the endpoint of each cluster's coordinator (its local rank 0)
+// and the result the processes fill in.
+type world struct {
+	g       *topology.Grid
+	env     *sim.Env
+	nw      *vnet.Network
+	offsets []int
+	res     *Result
+}
+
+// run is the scaffold every executor shares. Endpoint i of the network is
+// process layout[i]; spawn starts the processes and returns the completion
+// report to apply after the run (nil: every node was reached). A run that
+// ends with processes still blocked fails, the error naming their count and
+// the executor's stuck suffix. The makespan is the latest cluster
+// completion.
+func run(g *topology.Grid, layout []sched.NodePlace, opt Options, stuck string,
+	spawn func(w *world) (finish func())) (*Result, error) {
+
+	n := g.N()
+	w := &world{g: g, env: sim.New(), offsets: make([]int, n), res: &Result{
+		ClusterCompletion:  make([]float64, n),
+		CoordinatorArrival: make([]float64, n),
+		Completed:          make([]bool, n),
+	}}
+	for i, np := range layout {
+		if np.Rank == 0 {
+			w.offsets[np.Cluster] = i
+		}
+	}
 	link := func(from, to int) plogp.Params {
 		cf, ct := layout[from].Cluster, layout[to].Cluster
 		if cf == ct {
@@ -238,53 +182,52 @@ func ExecuteBinomialGridUnaware(g *topology.Grid, rootCluster int, m int64, opt 
 		}
 		return g.Inter[cf][ct]
 	}
-	env := sim.New()
-	nw := vnet.New(env, len(layout), link, opt.Net)
-	tree := intracluster.New(intracluster.Binomial, len(layout))
+	w.nw = vnet.New(w.env, len(layout), link, opt.Net)
 
-	res := &Result{
-		ClusterCompletion:  make([]float64, g.N()),
-		CoordinatorArrival: make([]float64, g.N()),
-		Completed:          make([]bool, g.N()),
-	}
-	record := func(rank int, at float64) {
-		// Clusters modelled by an explicit BcastTime still pay their
-		// local broadcast after their node receives the message.
-		c := layout[rank].Cluster
-		if bt := g.Clusters[c].BcastTime; bt > 0 {
-			at += bt
-		}
-		if at > res.ClusterCompletion[c] {
-			res.ClusterCompletion[c] = at
-		}
-		if at > res.Makespan {
-			res.Makespan = at
-		}
-	}
-	for rank := 0; rank < len(layout); rank++ {
-		env.Process(fmt.Sprintf("rank-%d", rank), func(p *sim.Proc) {
-			if rank != 0 {
-				msg := nw.Recv(p, rank)
-				record(rank, msg.ArrivedAt)
-			} else {
-				record(0, 0) // the root holds the message at t=0
-			}
-			for _, child := range tree.Children[rank] {
-				nw.Send(p, rank, child, m, TagIntra, nil)
-			}
-		})
-	}
-	if err := runEnv(env, opt.Ctx); err != nil {
+	finish := spawn(w)
+	if err := runEnv(w.env, opt.Ctx); err != nil {
 		return nil, err
 	}
-	if live := env.Live(); live != 0 {
-		env.Shutdown()
-		return nil, fmt.Errorf("mpi: %d processes never completed", live)
+	if live := w.env.Live(); live != 0 {
+		w.env.Shutdown()
+		return nil, fmt.Errorf("mpi: %d processes never completed%s", live, stuck)
 	}
-	for c := range res.Completed {
-		res.Completed[c] = true
+	res := w.res
+	if finish != nil {
+		finish()
+	} else {
+		for c := range res.Completed {
+			res.Completed[c] = true
+		}
+		res.NodesReached = g.TotalNodes()
 	}
-	res.NodesReached = g.TotalNodes()
-	res.Messages, res.Bytes = nw.Messages, nw.Bytes
+	for _, comp := range res.ClusterCompletion {
+		if comp > res.Makespan {
+			res.Makespan = comp
+		}
+	}
+	res.Messages, res.Bytes = w.nw.Messages, w.nw.Bytes
+	res.Retries, res.Lost = w.nw.Redelivered, w.nw.Lost
 	return res, nil
+}
+
+// runEnv pumps the simulation, honouring an optional cancellation context.
+func runEnv(env *sim.Env, ctx context.Context) error {
+	if ctx == nil {
+		env.Run()
+		return nil
+	}
+	_, err := env.RunCtx(ctx, 0)
+	return err
+}
+
+// sendLists groups a schedule's transmissions by sender, keeping round
+// order: that is the order each coordinator works through its
+// destinations.
+func sendLists(n int, events []sched.Event) [][]int {
+	sends := make([][]int, n)
+	for _, ev := range events {
+		sends[ev.From] = append(sends[ev.From], ev.To)
+	}
+	return sends
 }

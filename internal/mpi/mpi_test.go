@@ -131,6 +131,17 @@ func TestSoftwareOverheadSlowsExecution(t *testing.T) {
 	if slow.Makespan <= sc.Makespan {
 		t.Errorf("overhead did not slow execution: %g vs %g", slow.Makespan, sc.Makespan)
 	}
+	// An overhead this large pushes arrivals far past the analytic deadlines;
+	// armed deadlines would re-parent receivers. A fault-free run must arm
+	// none, so it reaches every node without a single repair.
+	slower, err := ExecuteSchedule(g, sc, 1<<20, Options{Net: vnet.Config{SoftwareOverhead: 0.05}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slower.Reparents != 0 || slower.Retries != 0 || slower.NodesReached != g.TotalNodes() {
+		t.Errorf("fault-free run repaired: reparents %d, retries %d, reached %d/%d",
+			slower.Reparents, slower.Retries, slower.NodesReached, g.TotalNodes())
+	}
 }
 
 func TestExecuteRejectsForeignSchedule(t *testing.T) {

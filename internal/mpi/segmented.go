@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"gridbcast/internal/intracluster"
-	"gridbcast/internal/plogp"
 	"gridbcast/internal/sched"
 	"gridbcast/internal/sim"
 	"gridbcast/internal/topology"
@@ -41,65 +40,18 @@ func ExecuteSegmentedSchedule(g *topology.Grid, ss *sched.SegmentedSchedule, opt
 	}
 	// Segment streams have no per-segment recovery protocol: only link
 	// degradation is meaningful here. Loss and crash scenarios belong to the
-	// whole-message executor (ExecuteSchedule with Options.FT).
+	// whole-message executor (ExecuteSchedule).
 	if f := opt.Net.Faults; f != nil && (len(f.Loss) > 0 || len(f.Crashes) > 0) {
 		return nil, fmt.Errorf("mpi: segmented execution supports Degrade faults only (loss/crash recovery is whole-message)")
 	}
 
-	n := g.N()
-	offsets := make([]int, n)
-	clusterOf := make([]int, 0, g.TotalNodes())
-	for c := 0; c < n; c++ {
-		offsets[c] = len(clusterOf)
-		for r := 0; r < g.Clusters[c].Nodes; r++ {
-			clusterOf = append(clusterOf, c)
+	sends := sendLists(g.N(), ss.Events)
+	return run(g, sched.Layout(g, 0), opt, " (lost segment?)", func(w *world) func() {
+		for c, dsts := range sends {
+			startSegmentedCluster(w, sp, c, ss.LocalSeg && ss.LocalSegmented[c], dsts, opt.IntraShape)
 		}
-	}
-	link := func(from, to int) plogp.Params {
-		cf, ct := clusterOf[from], clusterOf[to]
-		if cf == ct {
-			return g.Clusters[cf].Intra
-		}
-		return g.Inter[cf][ct]
-	}
-	env := sim.New()
-	nw := vnet.New(env, len(clusterOf), link, opt.Net)
-
-	// Destination lists per sender, in schedule round order: each
-	// coordinator streams all K segments to its first destination, then all
-	// K to the next — the order the analytic evaluator times.
-	sends := make([][]int, n)
-	for _, ev := range ss.Events {
-		sends[ev.From] = append(sends[ev.From], ev.To)
-	}
-
-	res := &Result{
-		ClusterCompletion:  make([]float64, n),
-		CoordinatorArrival: make([]float64, n),
-		Completed:          make([]bool, n),
-	}
-	for c := 0; c < n; c++ {
-		localSeg := ss.LocalSeg && ss.LocalSegmented[c]
-		startSegmentedCluster(env, nw, g, sp, c, c == ss.Root, localSeg, offsets[c], sends[c], offsets, opt, res)
-	}
-	if err := runEnv(env, opt.Ctx); err != nil {
-		return nil, err
-	}
-	if live := env.Live(); live != 0 {
-		env.Shutdown()
-		return nil, fmt.Errorf("mpi: %d processes never completed (lost segment?)", live)
-	}
-	for c := range res.Completed {
-		res.Completed[c] = true
-	}
-	res.NodesReached = g.TotalNodes()
-	for _, comp := range res.ClusterCompletion {
-		if comp > res.Makespan {
-			res.Makespan = comp
-		}
-	}
-	res.Messages, res.Bytes = nw.Messages, nw.Bytes
-	return res, nil
+		return nil
+	})
 }
 
 // segSize returns the payload of segment q.
@@ -116,22 +68,25 @@ func segSize(sp *sched.SegmentedProblem, q int) int64 {
 // streaming shape of sched's per-segment model) as soon as it holds it (and
 // its wide-area sends are done), and every node relays segment-major,
 // reproducing the analytic T_i(s, K).
-func startSegmentedCluster(env *sim.Env, nw *vnet.Network, g *topology.Grid, sp *sched.SegmentedProblem,
-	c int, isRoot, localSeg bool, coord int, destinations []int, offsets []int, opt Options, res *Result) {
-
-	cl := g.Clusters[c]
+//
+// The coordinator streams all K segments to its first destination, then all
+// K to the next — the order the analytic evaluator times.
+func startSegmentedCluster(w *world, sp *sched.SegmentedProblem, c int, localSeg bool, destinations []int, shape intracluster.Shape) {
+	env, nw, res := w.env, w.nw, w.res
+	cl := w.g.Clusters[c]
+	coord := w.offsets[c]
 	var tree *intracluster.Tree
 	if cl.BcastTime == 0 && cl.Nodes > 1 {
 		if localSeg {
 			tree = intracluster.New(intracluster.Chain, cl.Nodes)
 		} else {
-			tree = intracluster.New(opt.IntraShape, cl.Nodes)
+			tree = intracluster.New(shape, cl.Nodes)
 		}
 	}
 
 	env.Process(fmt.Sprintf("coord-%s", cl.Name), func(p *sim.Proc) {
 		held := 0 // segments received so far (parent streams them in order)
-		if isRoot {
+		if c == sp.Root {
 			held = sp.K
 		}
 		// recvThrough blocks until the coordinator holds segment q. The
@@ -151,7 +106,7 @@ func startSegmentedCluster(env *sim.Env, nw *vnet.Network, g *topology.Grid, sp 
 		for _, dst := range destinations {
 			for q := 0; q < sp.K; q++ {
 				recvThrough(q)
-				nw.SendSeg(p, coord, offsets[dst], segSize(sp, q), q, TagInter, nil)
+				nw.SendSeg(p, coord, w.offsets[dst], segSize(sp, q), q, TagInter, nil)
 			}
 		}
 		if localSeg && tree != nil {

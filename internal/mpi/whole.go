@@ -1,102 +1,59 @@
 package mpi
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"gridbcast/internal/intracluster"
 	"gridbcast/internal/sched"
 	"gridbcast/internal/sim"
-	"gridbcast/internal/topology"
 	"gridbcast/internal/vnet"
 )
 
-// This file is the failure-aware execution path of ExecuteSchedule. It
-// activates when the network injects faults (Options.Net.Faults) or when
-// FTOptions are given explicitly; the fault-free path is untouched and keeps
-// reproducing analytic predictions bit-for-bit.
+// This file is the whole-message program ExecuteSchedule runs: every
+// coordinator waits for the wide-area message, forwards it according to the
+// schedule, then runs the intra-cluster broadcast tree among its local nodes.
+// On a fault-free network (jittered or not) that is all it does, and the
+// execution reproduces the analytic predictions bit-for-bit.
 //
-// The recovery protocol is receiver-driven, in the spirit of MagPIe's
-// coordinator role: every receive carries a deadline derived from the
-// analytic schedule (expected arrival plus a slack proportional to the
-// predicted makespan). A receiver whose deadline passes declares itself
-// orphaned and re-parents: it picks the cheapest live message holder (by
-// pLogP link cost g(m)+L) and has it retransmit, extending the deadline with
-// a doubling backoff. After MaxRetries fruitless repairs the receiver gives
-// up and returns, so an execution always terminates — crashed or unreachable
-// processes are reported in Result.Completed rather than hanging the run.
+// A non-empty fault plan (Options.Net.Faults) arms the recovery protocol. It
+// is receiver-driven, in the spirit of MagPIe's coordinator role: every
+// receive carries a deadline derived from the analytic schedule (expected
+// arrival plus a slack proportional to the predicted makespan). A receiver
+// whose deadline passes declares itself orphaned and re-parents: it picks
+// the cheapest live message holder (by pLogP link cost g(m)+L) and has it
+// retransmit, extending the deadline with a doubling backoff. After
+// ftRetries fruitless repairs the receiver gives up and returns, so an
+// execution always terminates — crashed or unreachable processes are
+// reported in Result.Completed rather than hanging the run.
 //
 // Modelling note: a repair retransmission is issued by a transient process
 // bound to the holder's endpoint, so it does not contend with the holder's
 // own scheduled sender occupation. This slightly optimistic serialisation is
 // deliberate — repairs model an out-of-band recovery channel (DESIGN.md §11).
 
-// FTOptions tunes the failure-aware executor. The zero value of each field
-// selects its default.
-type FTOptions struct {
-	// Slack is the fraction of the predicted makespan granted past each
-	// analytic arrival before a receive is declared overdue (default 0.25).
-	Slack float64
-	// MinSlack is an absolute floor on the slack in seconds (default 5ms),
-	// so near-zero makespans still leave room for redelivery backoff.
-	MinSlack float64
-	// MaxRetries bounds the repair rounds per orphaned receive (default 3).
-	MaxRetries int
-}
-
-// Failure-aware execution defaults.
+// Receive deadlines under a fault plan.
 const (
-	DefaultSlack    = 0.25
-	DefaultMinSlack = 0.005
-	// DefaultFTRetries is the default repair-round bound per receive.
-	DefaultFTRetries = 3
+	// ftSlack is the fraction of the predicted makespan granted past each
+	// analytic arrival before a receive is declared overdue; ftMinSlack is
+	// its floor in seconds, so near-zero makespans still leave room for
+	// redelivery backoff.
+	ftSlack    = 0.25
+	ftMinSlack = 0.005
+	// ftRetries bounds the repair rounds per orphaned receive.
+	ftRetries = 3
 )
 
-func (o *FTOptions) slack(makespan float64) float64 {
-	frac, floor := DefaultSlack, DefaultMinSlack
-	if o != nil && o.Slack > 0 {
-		frac = o.Slack
-	}
-	if o != nil && o.MinSlack > 0 {
-		floor = o.MinSlack
-	}
-	if s := frac * makespan; s > floor {
-		return s
-	}
-	return floor
-}
-
-func (o *FTOptions) maxRetries() int {
-	if o != nil && o.MaxRetries > 0 {
-		return o.MaxRetries
-	}
-	return DefaultFTRetries
-}
-
-// runEnv pumps the simulation, honouring an optional cancellation context.
-func runEnv(env *sim.Env, ctx context.Context) error {
-	if ctx == nil {
-		env.Run()
-		return nil
-	}
-	_, err := env.RunCtx(ctx, 0)
-	return err
-}
-
-// ftExec carries the shared state of one failure-aware execution. The sim
-// kernel is single-threaded, so plain fields suffice.
-type ftExec struct {
-	env        *sim.Env
-	nw         *vnet.Network
-	g          *topology.Grid
-	sc         *sched.Schedule
-	offsets    []int
-	m          int64
-	opt        Options
-	res        *Result
-	slack      float64
-	maxRetries int
+// wholeExec carries the shared state of one whole-message execution. The
+// sim kernel is single-threaded, so plain fields suffice.
+type wholeExec struct {
+	*world
+	sc    *sched.Schedule
+	m     int64
+	shape intracluster.Shape
+	// armed selects deadline-guarded receives (a non-empty fault plan).
+	armed bool
+	slack float64
 	// holder[c] reports cluster c's coordinator holds the message; localGot
 	// [c][r] reports rank r of cluster c holds it. Together they are the
 	// membership/monitoring view orphans consult to pick a new parent.
@@ -104,32 +61,29 @@ type ftExec struct {
 	localGot [][]bool
 }
 
-func newFTExec(env *sim.Env, nw *vnet.Network, g *topology.Grid, sc *sched.Schedule,
-	offsets []int, m int64, opt Options, res *Result) *ftExec {
-
-	ex := &ftExec{
-		env: env, nw: nw, g: g, sc: sc, offsets: offsets, m: m, opt: opt, res: res,
-		slack:      opt.FT.slack(sc.Makespan),
-		maxRetries: opt.FT.maxRetries(),
-		holder:     make([]bool, g.N()),
-		localGot:   make([][]bool, g.N()),
+func newWholeExec(w *world, sc *sched.Schedule, m int64, opt Options) *wholeExec {
+	ex := &wholeExec{
+		world: w, sc: sc, m: m, shape: opt.IntraShape,
+		armed:    !opt.Net.Faults.Empty(),
+		slack:    max(ftSlack*sc.Makespan, ftMinSlack),
+		holder:   make([]bool, w.g.N()),
+		localGot: make([][]bool, w.g.N()),
 	}
 	for c := range ex.localGot {
-		ex.localGot[c] = make([]bool, g.Clusters[c].Nodes)
+		ex.localGot[c] = make([]bool, w.g.Clusters[c].Nodes)
 	}
 	return ex
 }
 
-// startCluster spawns the coordinator and local node processes of cluster c,
-// every receive guarded by a deadline.
-func (ex *ftExec) startCluster(c int, destinations []int) {
+// startCluster spawns the coordinator and local node processes of cluster c.
+func (ex *wholeExec) startCluster(c int, destinations []int) {
 	g, nw, res := ex.g, ex.nw, ex.res
 	cl := g.Clusters[c]
 	coord := ex.offsets[c]
 	isRoot := c == ex.sc.Root
 	var tree *intracluster.Tree
 	if cl.BcastTime == 0 && cl.Nodes > 1 {
-		tree = intracluster.New(ex.opt.IntraShape, cl.Nodes)
+		tree = intracluster.New(ex.shape, cl.Nodes)
 	}
 
 	cp := ex.env.Process(fmt.Sprintf("coord-%s", cl.Name), func(p *sim.Proc) {
@@ -186,18 +140,22 @@ func (ex *ftExec) startCluster(c int, destinations []int) {
 	}
 }
 
-// recvInter waits for the wide-area message at cluster c's coordinator,
-// re-parenting onto the cheapest live holder whenever the deadline passes.
-func (ex *ftExec) recvInter(p *sim.Proc, c int) (*vnet.Message, bool) {
+// recvInter waits for the wide-area message at cluster c's coordinator.
+// Under a fault plan it re-parents onto the cheapest live holder whenever
+// the deadline passes.
+func (ex *wholeExec) recvInter(p *sim.Proc, c int) (*vnet.Message, bool) {
 	coord := ex.offsets[c]
+	match := func(m *vnet.Message) bool { return m.Tag == TagInter }
+	if !ex.armed {
+		return ex.nw.RecvMatch(p, coord, match), true
+	}
 	deadline := ex.sc.RT[c] + ex.slack
 	for attempt := 0; ; attempt++ {
-		msg, ok := ex.nw.RecvMatchUntil(p, coord, deadline,
-			func(m *vnet.Message) bool { return m.Tag == TagInter })
+		msg, ok := ex.nw.RecvMatchUntil(p, coord, deadline, match)
 		if ok {
 			return msg, true
 		}
-		if attempt >= ex.maxRetries {
+		if attempt >= ftRetries {
 			return nil, false
 		}
 		ext := ex.slack
@@ -213,16 +171,19 @@ func (ex *ftExec) recvInter(p *sim.Proc, c int) (*vnet.Message, bool) {
 // recvIntra is recvInter for a local node: the fallback parent is the lowest
 // live local rank that already holds the message (intra links are uniform,
 // so lowest rank is also cheapest).
-func (ex *ftExec) recvIntra(p *sim.Proc, c, r int) (*vnet.Message, bool) {
+func (ex *wholeExec) recvIntra(p *sim.Proc, c, r int) (*vnet.Message, bool) {
 	coord := ex.offsets[c]
+	match := func(m *vnet.Message) bool { return m.Tag == TagIntra }
+	if !ex.armed {
+		return ex.nw.RecvMatch(p, coord+r, match), true
+	}
 	deadline := ex.sc.Completion[c] + ex.slack
 	for attempt := 0; ; attempt++ {
-		msg, ok := ex.nw.RecvMatchUntil(p, coord+r, deadline,
-			func(m *vnet.Message) bool { return m.Tag == TagIntra })
+		msg, ok := ex.nw.RecvMatchUntil(p, coord+r, deadline, match)
 		if ok {
 			return msg, true
 		}
-		if attempt >= ex.maxRetries {
+		if attempt >= ftRetries {
 			return nil, false
 		}
 		ext := ex.slack
@@ -237,7 +198,7 @@ func (ex *ftExec) recvIntra(p *sim.Proc, c, r int) (*vnet.Message, bool) {
 
 // bestHolder picks the live coordinator holding the message with the
 // cheapest link into c (ties to the lowest cluster id), or -1.
-func (ex *ftExec) bestHolder(c int) int {
+func (ex *wholeExec) bestHolder(c int) int {
 	best, bestCost := -1, math.Inf(1)
 	for s := range ex.holder {
 		if s == c || !ex.holder[s] || ex.nw.Crashed(ex.offsets[s]) {
@@ -253,7 +214,7 @@ func (ex *ftExec) bestHolder(c int) int {
 
 // bestLocalHolder picks the lowest live rank of cluster c (other than r)
 // that holds the message, or -1.
-func (ex *ftExec) bestLocalHolder(c, r int) int {
+func (ex *wholeExec) bestLocalHolder(c, r int) int {
 	for s, got := range ex.localGot[c] {
 		if s != r && got && !ex.nw.Crashed(ex.offsets[c]+s) {
 			return s
@@ -264,7 +225,7 @@ func (ex *ftExec) bestLocalHolder(c, r int) int {
 
 // repair retransmits the message from endpoint `from` to endpoint `to` via a
 // transient process (the out-of-band recovery channel; see the file comment).
-func (ex *ftExec) repair(from, to, tag int) {
+func (ex *wholeExec) repair(from, to, tag int) {
 	ex.res.Reparents++
 	ex.env.Process(fmt.Sprintf("repair-%d-%d", from, to), func(rp *sim.Proc) {
 		ex.nw.Send(rp, from, to, ex.m, tag, nil)
@@ -272,7 +233,7 @@ func (ex *ftExec) repair(from, to, tag int) {
 }
 
 // finish fills the per-cluster completion report after the run.
-func (ex *ftExec) finish() {
+func (ex *wholeExec) finish() {
 	for c, got := range ex.localGot {
 		all := true
 		for _, b := range got {

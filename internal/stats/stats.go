@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolbox used by the
-// simulation and experiment harness: streaming accumulators, percentiles,
-// histograms and least-squares fits.
+// simulation and experiment harness: streaming accumulators, percentiles
+// and means.
 //
 // Everything here is deterministic and allocation-conscious; the experiment
 // harness runs tens of thousands of Monte-Carlo iterations per figure and
@@ -137,73 +137,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Histogram is a fixed-width binned counter over [Lo, Hi). Values outside
-// the range are clamped into the edge bins so no observation is lost.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int64
-}
-
-// NewHistogram creates a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Bins) {
-		i = len(h.Bins) - 1
-	}
-	h.Bins[i]++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
-}
-
-// Mode returns the midpoint of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, b := range h.Bins {
-		if b > h.Bins[best] {
-			best = i
-		}
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Bins))
-	return h.Lo + w*(float64(best)+0.5)
-}
-
-// LinearFit returns slope a and intercept b of the least-squares line
-// y = a*x + b through the points. It panics if fewer than two points or if
-// all x are identical.
-func LinearFit(xs, ys []float64) (slope, intercept float64) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		panic("stats: LinearFit needs >= 2 paired points")
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, sxy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx == 0 {
-		panic("stats: LinearFit with degenerate x")
-	}
-	slope = sxy / sxx
-	return slope, my - slope*mx
 }

@@ -132,60 +132,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-5) // clamps into bin 0
-	h.Add(50) // clamps into bin 9
-	if h.Total() != 12 {
-		t.Fatalf("Total = %d, want 12", h.Total())
-	}
-	if h.Bins[0] != 2 || h.Bins[9] != 2 {
-		t.Errorf("edge bins = %d,%d, want 2,2", h.Bins[0], h.Bins[9])
-	}
-	h.Add(3.1)
-	h.Add(3.2)
-	if got := h.Mode(); math.Abs(got-3.5) > 1e-12 {
-		t.Errorf("Mode = %g, want 3.5", got)
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for hi <= lo")
-		}
-	}()
-	NewHistogram(1, 1, 4)
-}
-
-func TestLinearFit(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 2x + 1
-	a, b := LinearFit(xs, ys)
-	if math.Abs(a-2) > 1e-12 || math.Abs(b-1) > 1e-12 {
-		t.Errorf("fit = (%g,%g), want (2,1)", a, b)
-	}
-}
-
-func TestLinearFitPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"short":      func() { LinearFit([]float64{1}, []float64{1}) },
-		"degenerate": func() { LinearFit([]float64{2, 2}, []float64{1, 3}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestNewRandDeterministic(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 100; i++ {
