@@ -344,14 +344,19 @@ func BenchmarkSegmentedSchedule(b *testing.B) {
 // BenchmarkPipelinedLadder measures the full segment-size ladder search
 // (DefaultSegmentLadder, 12 candidates at 16 MB) behind
 // Pipelined.BestContext, on one engine pool held across searches as a
-// Session holds its pools.
+// Session holds its pools. n=6 is GRID5000, below segEngineMinN (naive
+// pickers); n=128 is the daemon's random:7:128 platform, where the
+// incremental engine builds and the incumbent cut abandons most rungs.
 func BenchmarkPipelinedLadder(b *testing.B) {
-	g := topology.Grid5000()
-	ep := sched.NewEnginePool()
-	for i := 0; i < b.N; i++ {
-		if _, err := (sched.Pipelined{}).BestContext(context.Background(), ep, g, 0, 16<<20, sched.Options{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, g := range []*topology.Grid{topology.Grid5000(), topology.RandomGrid(stats.NewRand(7), 128)} {
+		b.Run(fmt.Sprintf("n=%d", g.N()), func(b *testing.B) {
+			ep := sched.NewEnginePool()
+			for i := 0; i < b.N; i++ {
+				if _, err := (sched.Pipelined{}).BestContext(context.Background(), ep, g, 0, 16<<20, sched.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

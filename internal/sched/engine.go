@@ -422,6 +422,14 @@ type lookaheadSet struct {
 	fVal []float64 // cached F(j)
 	fTop []int32   // member attaining fVal[j] (-1 when B\{j} is empty)
 	neg  bool      // lookahead weights are negated (max variant)
+
+	// Copy-on-write over an EnginePool template (nil shared otherwise):
+	// while shared[j] is set, la[j] still reads the template's backing,
+	// and its first pop copies it to work[off[j]:off[j+1]]. A heap whose
+	// top never joins A is never copied.
+	shared []bool
+	work   []laEntry
+	off    []int
 }
 
 // laEntriesFor appends receiver j's lookahead candidates — every cluster
@@ -466,6 +474,12 @@ func (ls *lookaheadSet) refresh(j int, inA []bool) {
 }
 
 func (ls *lookaheadSet) recompute(j int, inA []bool) {
+	if ls.shared != nil && ls.shared[j] {
+		ls.shared[j] = false
+		w := ls.work[ls.off[j]:ls.off[j+1]:ls.off[j+1]]
+		copy(w, ls.la[j].es)
+		ls.la[j].es = w
+	}
 	ls.cache(j, ls.la[j].top(inA))
 }
 

@@ -68,25 +68,23 @@ type EnginePool struct {
 	laHeaps   []laHeap
 	fVal      []float64
 	fTop      []int32
+	laShared  []bool
 	inA       []bool // scratch membership vector ({root} at engine init)
 
 	templates map[laTemplateKey]*laTemplate
-	segTrans  map[segTransKey]*segTranspose
+	segTrans  map[*float64]*transposed
+	segClock  uint64
 }
 
-// segTransKey identifies cached segmented-engine transposes by matrix
-// identity: Gs and Wl alias the grid's per-message-size EdgeCosts cache and
-// are immutable, and holding the pointers pins them, so a key is never
-// recycled for different values (same argument as laTemplateKey).
-type segTransKey struct {
-	gs, wl *float64
-}
-
-// segTranspose holds the Gs/Wl transposes for one (Gs, Wl) matrix pair.
-// Entries are shared read-only by every engine the pool readies.
-type segTranspose struct {
-	n        int
-	gsT, wlT [][]float64
+// transposed is a cached transpose of one segmented cost matrix (a Gs or
+// a Wl), keyed in EnginePool.segTrans by the matrix's identity: the
+// matrices alias the grid's per-message-size EdgeCosts cache and are
+// immutable, and holding the pointer pins them, so a key is never recycled
+// for different values (same argument as laTemplateKey). Entries are
+// shared read-only by every engine the pool readies.
+type transposed struct {
+	t    [][]float64
+	used uint64 // segClock at the last use, for least-recently-used eviction
 }
 
 // laTemplateKey identifies a cached lookahead template: the full-message W
@@ -115,7 +113,7 @@ type laTemplate struct {
 func NewEnginePool() *EnginePool {
 	return &EnginePool{
 		templates: map[laTemplateKey]*laTemplate{},
-		segTrans:  map[segTransKey]*segTranspose{},
+		segTrans:  map[*float64]*transposed{},
 	}
 }
 
@@ -240,7 +238,10 @@ func (ep *EnginePool) ecefFor(h ecef, p *Problem) *ecefEngine {
 
 // loadLookahead readies a lookahead set from the platform's cached
 // template, pointing it at the pool's working buffers. local marks p as a
-// segmented problem's TL view (laProblem), cached under its own key.
+// segmented problem's TL view (laProblem), cached under its own key. The
+// heaps start out reading the template and are copied to the working
+// backing one at a time, on their first pop (lookaheadSet.recompute): a
+// construction cut short after a few rounds copies few of them.
 func (ep *EnginePool) loadLookahead(ls *lookaheadSet, h ecef, p *Problem, local bool) {
 	n := p.N
 	if len(ep.laHeaps) != n {
@@ -248,17 +249,19 @@ func (ep *EnginePool) loadLookahead(ls *lookaheadSet, h ecef, p *Problem, local 
 		ep.laHeaps = make([]laHeap, n)
 		ep.fVal = make([]float64, n)
 		ep.fTop = make([]int32, n)
+		ep.laShared = make([]bool, n)
 		ep.inA = make([]bool, n)
 	}
 	tpl := ep.template(h, p, local)
-	copy(ep.laBacking, tpl.backing)
 	for j := 0; j < n; j++ {
 		lo, hi := tpl.off[j], tpl.off[j+1]
-		ep.laHeaps[j].es = ep.laBacking[lo:hi:hi]
+		ep.laHeaps[j].es = tpl.backing[lo:hi:hi]
+		ep.laShared[j] = true
 	}
 	ls.neg = h.kind == laMaxWT
 	ls.la = ep.laHeaps
 	ls.fVal, ls.fTop = ep.fVal, ep.fTop
+	ls.shared, ls.work, ls.off = ep.laShared, ep.laBacking, tpl.off
 	// Initial extrema: A = {root}, so the template's root entries are
 	// discarded here exactly as the engine discards any member that joined
 	// A.
@@ -267,7 +270,11 @@ func (ep *EnginePool) loadLookahead(ls *lookaheadSet, h ecef, p *Problem, local 
 		if j == p.Root {
 			continue
 		}
-		ls.cache(j, ls.la[j].top(ep.inA))
+		if es := ls.la[j].es; len(es) > 0 && int(es[0].k) != p.Root {
+			ls.cache(j, es[0])
+		} else {
+			ls.recompute(j, ep.inA)
+		}
 	}
 	ep.inA[p.Root] = false
 }
@@ -287,22 +294,29 @@ func (ep *EnginePool) loadLookahead(ls *lookaheadSet, h ecef, p *Problem, local 
 // pipeline the result is never worse than h's coordinator-only schedule at
 // the same segmentation (coordGuard).
 func (ep *EnginePool) ScheduleSegmented(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	return coordGuard(h, sp, func(spx *SegmentedProblem) *SegmentedSchedule {
+	return ep.scheduleSegmented(h, sp, math.Inf(1))
+}
+
+// scheduleSegmented is ScheduleSegmented under runSegmented's incumbent
+// cut: nil, or a schedule with a makespan of at least bound, unless the
+// unbounded build's makespan is below bound (see coordGuard).
+func (ep *EnginePool) scheduleSegmented(h Heuristic, sp *SegmentedProblem, bound float64) *SegmentedSchedule {
+	return coordGuard(h, sp, bound, func(spx *SegmentedProblem, bound float64) *SegmentedSchedule {
 		if spx.N < segEngineMinN {
-			return segmentedWith(h, spx, segPolicyFor(h, spx), h)
+			return segmentedWith(h, spx, segPolicyFor(h, spx), h, bound)
 		}
-		return ep.scheduleSegmentedOnce(h, spx)
+		return ep.scheduleSegmentedOnce(h, spx, bound)
 	})
 }
 
 // scheduleSegmentedOnce is one coordGuard pass through the pooled segmented
 // engines, whatever the cluster count.
-func (ep *EnginePool) scheduleSegmentedOnce(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
+func (ep *EnginePool) scheduleSegmentedOnce(h Heuristic, sp *SegmentedProblem, bound float64) *SegmentedSchedule {
 	pol := ep.segEngineFor(h, sp)
 	if pol != nil && ep.Scan != nil {
 		pol = ep.Scan.segPolicyFor(pol)
 	}
-	return segmentedWith(h, sp, pol, h)
+	return segmentedWith(h, sp, pol, h, bound)
 }
 
 // segEngineFor readies the pooled incremental segmented picker for h, or
@@ -336,10 +350,10 @@ func (ep *EnginePool) segEngineFor(h Heuristic, sp *SegmentedProblem) segPolicy 
 }
 
 // ensureSeg sizes and resets the pooled segmented receiver cache for sp.
-// The Gs/Wl transposes come from the pool's per-matrix-identity cache (the
-// ROADMAP item behind Pipelined ladder setup cost): ladder rungs and
-// repeated schedules at the same segmentation skip the O(N²) rebuild
-// entirely. ep.segRc therefore only aliases shared, read-only transposes.
+// The Gs/Wl transposes come from the pool's per-matrix-identity cache:
+// ladder rungs and repeated schedules at the same segment size skip the
+// O(N²) rebuild. ep.segRc therefore only aliases shared, read-only
+// transposes.
 func (ep *EnginePool) ensureSeg(sp *SegmentedProblem) {
 	ep.ensure(sp.N)
 	if ep.segN != sp.N {
@@ -356,29 +370,38 @@ func (ep *EnginePool) ensureSeg(sp *SegmentedProblem) {
 			last:       make([]float64, n),
 		}
 	}
-	tr := ep.transposesFor(sp)
-	ep.segRc.resetWith(sp, tr.gsT, tr.wlT)
+	ep.segRc.resetWith(sp, ep.transposeOf(sp.Gs, sp.N), ep.transposeOf(sp.Wl, sp.N))
 }
 
-// transposesFor returns (building and caching on demand) the segmented
-// engine's transposes of sp.Gs and sp.Wl. Like the lookahead template cache
-// it is bounded by maxTemplates and simply dropped on overflow — throwaway
-// Monte-Carlo platforms must not pin an unbounded set of cost matrices.
-func (ep *EnginePool) transposesFor(sp *SegmentedProblem) *segTranspose {
-	key := segTransKey{gs: &sp.Gs[0][0], wl: &sp.Wl[0][0]}
-	if tr := ep.segTrans[key]; tr != nil && tr.n == sp.N {
-		return tr
+// transposeOf returns (building and caching on demand) the transpose of
+// the n×n segmented cost matrix m. Keys are single matrices, not (Gs, Wl)
+// pairs: a ladder's power-of-two segment sizes share their Gs across
+// messages of every size, while each message size brings its own
+// remainder Wl. The cache holds maxTemplates matrices and evicts the least
+// recently used one, recycling its storage when the dimension matches —
+// throwaway Monte-Carlo platforms must not pin an unbounded set of cost
+// matrices.
+func (ep *EnginePool) transposeOf(m [][]float64, n int) [][]float64 {
+	ep.segClock++
+	key := &m[0][0]
+	if tr := ep.segTrans[key]; tr != nil && len(tr.t) == n {
+		tr.used = ep.segClock
+		return tr.t
 	}
+	tr := &transposed{}
 	if len(ep.segTrans) >= maxTemplates {
-		ep.segTrans = map[segTransKey]*segTranspose{}
+		var old *float64
+		for k, e := range ep.segTrans {
+			if old == nil || e.used < tr.used {
+				old, tr = k, e
+			}
+		}
+		delete(ep.segTrans, old)
 	}
-	tr := &segTranspose{
-		n:   sp.N,
-		gsT: transpose(sp.Gs, sp.N),
-		wlT: transpose(sp.Wl, sp.N),
-	}
+	tr.t = transpose(tr.t, m, n)
+	tr.used = ep.segClock
 	ep.segTrans[key] = tr
-	return tr
+	return tr.t
 }
 
 // maxTemplates bounds the template cache. Sweeps over one platform use a

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"gridbcast/internal/stats"
@@ -12,8 +13,8 @@ import (
 // included) regardless of the segEngineMinN routing gate, so small golden
 // platforms still exercise the engine under test.
 func epSegSchedule(ep *EnginePool, h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	return coordGuard(h, sp, func(spx *SegmentedProblem) *SegmentedSchedule {
-		return ep.scheduleSegmentedOnce(h, spx)
+	return coordGuard(h, sp, math.Inf(1), func(spx *SegmentedProblem, bound float64) *SegmentedSchedule {
+		return ep.scheduleSegmentedOnce(h, spx, bound)
 	})
 }
 

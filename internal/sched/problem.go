@@ -56,7 +56,7 @@ func (p *Problem) transposedW() [][]float64 {
 	if p.wt != nil {
 		return p.wt
 	}
-	return transpose(p.W, p.N)
+	return transpose(nil, p.W, p.N)
 }
 
 // Options tune problem construction.

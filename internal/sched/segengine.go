@@ -134,12 +134,15 @@ type segRecvCache struct {
 	lastI int32 // sender of the previous round (-1 before round 0)
 }
 
-// transpose returns src^T for an n×n matrix, in one backing array.
-func transpose(src [][]float64, n int) [][]float64 {
-	dst := make([][]float64, n)
-	backing := make([]float64, n*n)
-	for j := 0; j < n; j++ {
-		dst[j] = backing[j*n : (j+1)*n : (j+1)*n]
+// transpose returns src^T for an n×n matrix, written over dst when dst is
+// already n×n and into a new matrix (one backing array) otherwise.
+func transpose(dst, src [][]float64, n int) [][]float64 {
+	if len(dst) != n {
+		dst = make([][]float64, n)
+		backing := make([]float64, n*n)
+		for j := 0; j < n; j++ {
+			dst[j] = backing[j*n : (j+1)*n : (j+1)*n]
+		}
 	}
 	for i := 0; i < n; i++ {
 		row := src[i]

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -23,7 +24,7 @@ func assertSegIdentical(t *testing.T, label string, inc, ref *SegmentedSchedule)
 // the segEngineMinN routing gate, so small golden platforms (Grid5000 has
 // 6 clusters) still pin the engine itself and not naive-vs-naive.
 func segEngineSchedule(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	return NewEnginePool().scheduleSegmentedOnce(h, sp)
+	return NewEnginePool().scheduleSegmentedOnce(h, sp, math.Inf(1))
 }
 
 // TestSegmentedEngineMatchesReferenceGrid5000 pins the golden equivalence

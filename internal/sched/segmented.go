@@ -41,6 +41,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"gridbcast/internal/intracluster"
 	"gridbcast/internal/plogp"
@@ -260,21 +261,43 @@ type segState struct {
 	busy  []float64   // sender NIC availability
 	segAt [][]float64 // segAt[i][q]: when cluster i holds segment q
 	sizeA int
+
+	backing []float64 // segAt's rows, recycled with the state
+	events  []Event   // committed rounds, copied out when the schedule completes
 }
 
+// segStates recycles segState buffers across constructions. The N×K
+// segment-time backing is the largest part of a construction's setup, and
+// a ladder rung abandoned by the incumbent cut after a few rounds would
+// otherwise pay it in full.
+var segStates = sync.Pool{New: func() any { return new(segState) }}
+
+// newSegState checks a state for sp out of segStates; runSegmented returns
+// it. Only the root's segment row is cleared: transmit writes a receiver's
+// whole row when it joins A, and no row is read before its cluster joins.
 func newSegState(sp *SegmentedProblem) *segState {
-	st := &segState{
-		inA:   make([]bool, sp.N),
-		sent:  make([]bool, sp.N),
-		busy:  make([]float64, sp.N),
-		segAt: make([][]float64, sp.N),
-		sizeA: 1,
+	st := segStates.Get().(*segState)
+	n, k := sp.N, sp.K
+	if cap(st.inA) < n {
+		st.inA = make([]bool, n)
+		st.sent = make([]bool, n)
+		st.busy = make([]float64, n)
+		st.segAt = make([][]float64, n)
 	}
-	backing := make([]float64, sp.N*sp.K)
+	st.inA, st.sent, st.busy, st.segAt = st.inA[:n], st.sent[:n], st.busy[:n], st.segAt[:n]
+	clear(st.inA)
+	clear(st.sent)
+	clear(st.busy)
+	if cap(st.backing) < n*k {
+		st.backing = make([]float64, n*k)
+	}
 	for i := range st.segAt {
-		st.segAt[i] = backing[i*sp.K : (i+1)*sp.K : (i+1)*sp.K]
+		st.segAt[i] = st.backing[i*k : (i+1)*k : (i+1)*k]
 	}
+	clear(st.segAt[sp.Root])
 	st.inA[sp.Root] = true
+	st.sizeA = 1
+	st.events = st.events[:0]
 	return st
 }
 
@@ -329,21 +352,29 @@ type segPolicy interface {
 	pickSeg(sp *SegmentedProblem, st *segState) (from, to int)
 }
 
-// runSegmented executes the round-based engine with per-segment timing.
-func runSegmented(pol segPolicy, sp *SegmentedProblem) *SegmentedSchedule {
-	st := newSegState(sp)
-	ss := &SegmentedSchedule{
-		Heuristic:  pol.segName(),
-		Root:       sp.Root,
-		MsgSize:    sp.MsgSize,
-		SegSize:    sp.SegSize,
-		K:          sp.K,
-		Events:     make([]Event, 0, sp.N-1),
-		FirstRT:    make([]float64, sp.N),
-		RT:         make([]float64, sp.N),
-		Idle:       make([]float64, sp.N),
-		Completion: make([]float64, sp.N),
+// joinBound is a lower bound on the makespan of any schedule in which
+// cluster j's last segment arrives at arrive. Its completion starts at Idle
+// or, under the overlap model, at RT — both at least arrive — so it is at
+// least arrive + T_j (float addition rounds monotonically). A cluster
+// whose local tree may stream under the end-to-end pipeline completes no
+// earlier than its last ready segment, so the bound there is arrive alone.
+func joinBound(sp *SegmentedProblem, j int, arrive float64) float64 {
+	if sp.LocalSeg && sp.local[j].tree != nil {
+		return arrive
 	}
+	return arrive + sp.T[j]
+}
+
+// runSegmented executes the round-based engine with per-segment timing.
+//
+// bound is an incumbent makespan to beat. After each round the receiver
+// that just joined yields joinBound; once that reaches bound, the finished
+// schedule could not have a makespan below bound, so the construction is
+// abandoned and runSegmented returns nil. +Inf disables the cut.
+func runSegmented(pol segPolicy, sp *SegmentedProblem, bound float64) *SegmentedSchedule {
+	st := newSegState(sp)
+	defer segStates.Put(st)
+	cut := bound < math.Inf(1)
 	for round := 0; st.sizeA < sp.N; round++ {
 		i, j := pol.pickSeg(sp, st)
 		if i < 0 || j < 0 || i >= sp.N || j >= sp.N || !st.inA[i] || st.inA[j] {
@@ -352,10 +383,25 @@ func runSegmented(pol segPolicy, sp *SegmentedProblem) *SegmentedSchedule {
 		start, free, arrive := st.transmit(sp, i, j)
 		st.inA[j] = true
 		st.sizeA++
-		ss.Events = append(ss.Events, Event{
+		st.events = append(st.events, Event{
 			Round: round, From: i, To: j,
 			Start: start, SenderFree: free, Arrive: arrive,
 		})
+		if cut && joinBound(sp, j, arrive) >= bound {
+			return nil
+		}
+	}
+	ss := &SegmentedSchedule{
+		Heuristic:  pol.segName(),
+		Root:       sp.Root,
+		MsgSize:    sp.MsgSize,
+		SegSize:    sp.SegSize,
+		K:          sp.K,
+		Events:     append(make([]Event, 0, sp.N-1), st.events...),
+		FirstRT:    make([]float64, sp.N),
+		RT:         make([]float64, sp.N),
+		Idle:       make([]float64, sp.N),
+		Completion: make([]float64, sp.N),
 	}
 	var ready []float64
 	if sp.LocalSeg {
@@ -427,7 +473,7 @@ func EvaluateSegmented(sp *SegmentedProblem, pairs [][2]int) *SegmentedSchedule 
 	if len(pairs) != sp.N-1 {
 		panic(fmt.Sprintf("sched: segmented replay needs %d pairs, got %d", sp.N-1, len(pairs)))
 	}
-	return runSegmented(&segScripted{pairs: pairs}, sp)
+	return runSegmented(&segScripted{pairs: pairs}, sp, math.Inf(1))
 }
 
 // Pairs returns the (sender, receiver) sequence of the schedule.
@@ -625,14 +671,23 @@ func usesTL(h Heuristic, p *Problem) bool {
 // coordinator-only schedule itself, neither is the result. The guard is a
 // no-op outside the end-to-end pipeline and for pickers that never read
 // the TL estimates (both passes would be identical by construction).
-func coordGuard(h Heuristic, sp *SegmentedProblem, build func(*SegmentedProblem) *SegmentedSchedule) *SegmentedSchedule {
-	ss := build(sp)
+//
+// bound is runSegmented's incumbent cut, applied to both passes; the
+// second pass only wins if strictly below the first, so it is cut at the
+// first pass's makespan too. Whenever the unbounded guard's result has a
+// makespan below bound the bounded one is that same schedule; otherwise it
+// is nil or a schedule whose makespan is at least bound.
+func coordGuard(h Heuristic, sp *SegmentedProblem, bound float64, build func(*SegmentedProblem, float64) *SegmentedSchedule) *SegmentedSchedule {
+	ss := build(sp, bound)
 	if sp.lap == nil || !usesTL(h, sp.Problem) {
 		return ss
 	}
 	spc := *sp
 	spc.TL, spc.lap = nil, nil
-	if coord := build(&spc); coord.Makespan < ss.Makespan {
+	if ss != nil && ss.Makespan < bound {
+		bound = ss.Makespan
+	}
+	if coord := build(&spc, bound); coord != nil && (ss == nil || coord.Makespan < ss.Makespan) {
 		return coord
 	}
 	return ss
@@ -653,15 +708,16 @@ func ScheduleSegmented(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
 
 // segmentedWith runs the segmented picker pol on sp, or — when h has no
 // native segmented picker (pol == nil) — re-times fallback's unsegmented
-// tree under the per-segment model.
-func segmentedWith(h Heuristic, sp *SegmentedProblem, pol segPolicy, fallback Heuristic) *SegmentedSchedule {
-	var ss *SegmentedSchedule
+// tree under the per-segment model. bound is runSegmented's incumbent cut
+// (nil result when it fires).
+func segmentedWith(h Heuristic, sp *SegmentedProblem, pol segPolicy, fallback Heuristic, bound float64) *SegmentedSchedule {
 	if pol == nil {
-		ss = EvaluateSegmented(sp, pairsOf(fallback.Schedule(sp.Problem)))
-	} else {
-		ss = runSegmented(pol, sp)
+		pol = &segScripted{pairs: pairsOf(fallback.Schedule(sp.Problem))}
 	}
-	ss.Heuristic = h.Name()
+	ss := runSegmented(pol, sp, bound)
+	if ss != nil {
+		ss.Heuristic = h.Name()
+	}
 	return ss
 }
 
@@ -670,8 +726,8 @@ func segmentedWith(h Heuristic, sp *SegmentedProblem, pol segPolicy, fallback He
 // tested and benchmarked against. The produced schedules are identical to
 // ScheduleSegmented's in every field; only the construction cost differs.
 func ScheduleSegmentedReference(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	return coordGuard(h, sp, func(spx *SegmentedProblem) *SegmentedSchedule {
-		return segmentedWith(h, spx, segPolicyFor(h, spx), Reference{Base: h})
+	return coordGuard(h, sp, math.Inf(1), func(spx *SegmentedProblem, bound float64) *SegmentedSchedule {
+		return segmentedWith(h, spx, segPolicyFor(h, spx), Reference{Base: h}, bound)
 	})
 }
 
@@ -754,6 +810,12 @@ func (pl Pipelined) Name() string { return "Pipelined-" + pl.base().Name() }
 // time. The pool reuses the candidate caches, lookahead templates and the
 // per-matrix-identity Gs/Wl transposes across rungs and across repeated
 // searches on one platform.
+//
+// Each rung after the first is built against the incumbent's makespan as
+// an exact branch-and-bound cut (runSegmented): a rung whose partial
+// schedule already proves a makespan at or above the incumbent's is
+// abandoned, since only strictly smaller makespans are adopted. The result
+// is the one the unbounded search returns.
 func (pl Pipelined) BestContext(ctx context.Context, ep *EnginePool, g *topology.Grid, root int, m int64, opt Options) (*SegmentedSchedule, error) {
 	ladder := pl.Ladder
 	if len(ladder) == 0 {
@@ -768,8 +830,11 @@ func (pl Pipelined) BestContext(ctx context.Context, ep *EnginePool, g *topology
 		if err != nil {
 			return nil, err
 		}
-		ss := ep.ScheduleSegmented(pl.base(), sp)
-		if best == nil || ss.Makespan < best.Makespan {
+		bound := math.Inf(1)
+		if best != nil {
+			bound = best.Makespan
+		}
+		if ss := ep.scheduleSegmented(pl.base(), sp, bound); ss != nil && (best == nil || ss.Makespan < best.Makespan) {
 			best = ss
 		}
 	}

@@ -331,8 +331,10 @@ type Candidate struct {
 type BuildStats struct {
 	// Duration is the wall-clock time Plan spent.
 	Duration time.Duration
-	// Schedules counts the schedules constructed (heuristic candidates ×
-	// ladder segment sizes).
+	// Schedules counts the schedules tried (heuristic candidates × ladder
+	// segment sizes). A pipelined plan counts every ladder rung, including
+	// the rungs the search abandoned once they could no longer beat the
+	// best segment size found so far.
 	Schedules int
 }
 
