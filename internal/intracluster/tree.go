@@ -11,6 +11,7 @@ package intracluster
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gridbcast/internal/plogp"
 )
@@ -69,7 +70,8 @@ type Tree struct {
 	Parent   []int // Parent[0] == -1
 }
 
-// New builds the tree of the given shape over p nodes (p >= 1).
+// New builds the tree of the given shape over p nodes (p >= 1). The
+// children lists share one backing array.
 func New(shape Shape, p int) *Tree {
 	if p < 1 {
 		panic("intracluster: tree needs p >= 1")
@@ -79,65 +81,61 @@ func New(shape Shape, p int) *Tree {
 		Children: make([][]int, p),
 		Parent:   make([]int, p),
 	}
-	for i := range t.Parent {
-		t.Parent[i] = -1
-	}
-	switch shape {
-	case Flat:
-		for i := 1; i < p; i++ {
-			t.Children[0] = append(t.Children[0], i)
-			t.Parent[i] = 0
+	t.Parent[0] = -1
+	edges := make([]int, 0, p-1)
+	for r := 0; r < p; r++ {
+		from := len(edges)
+		edges = shape.AppendChildren(edges, p, r)
+		if len(edges) > from {
+			t.Children[r] = edges[from:len(edges):len(edges)]
 		}
-	case Chain:
-		for i := 1; i < p; i++ {
-			t.Children[i-1] = append(t.Children[i-1], i)
-			t.Parent[i] = i - 1
+		for _, c := range edges[from:] {
+			t.Parent[c] = r
 		}
-	case Binary:
-		for i := 1; i < p; i++ {
-			parent := (i - 1) / 2
-			t.Children[parent] = append(t.Children[parent], i)
-			t.Parent[i] = parent
-		}
-	case Binomial:
-		buildBinomial(t)
-	default:
-		panic(fmt.Sprintf("intracluster: unknown shape %v", shape))
 	}
 	return t
 }
 
-// buildBinomial constructs the MPICH-style binomial tree: node r's children
-// are r | 2^k for each bit k above r's lowest set bit (highest mask first,
-// so the largest subtree is served first, which is optimal under the gap
-// model for homogeneous nodes).
-func buildBinomial(t *Tree) {
-	p := t.P
-	// highest power of two <= needed to cover p
-	maxBit := 0
-	for (1 << (maxBit + 1)) < p {
-		maxBit++
-	}
-	if p == 1 {
-		return
-	}
-	for r := 0; r < p; r++ {
-		// lowest set bit of r (treat root as having all bits available)
-		low := maxBit + 1
-		if r != 0 {
-			low = 0
-			for r&(1<<low) == 0 {
-				low++
+// AppendChildren appends node r's children in the p-node tree of shape s to
+// dst, in send order, and returns the extended slice. Every shape is
+// arithmetic in (p, r), so a caller that walks one node's children — a
+// simulated process forwarding the message — needs no Tree; New builds
+// Tree.Children from it.
+//
+// Binomial is the MPICH-style tree: node r's children are r | 2^k for each
+// bit k below r's lowest set bit (the root has every bit available),
+// highest first, so the largest subtree is served first, which is optimal
+// under the gap model for homogeneous nodes.
+func (s Shape) AppendChildren(dst []int, p, r int) []int {
+	switch s {
+	case Flat:
+		if r == 0 {
+			for i := 1; i < p; i++ {
+				dst = append(dst, i)
 			}
+		}
+	case Chain:
+		if r+1 < p {
+			dst = append(dst, r+1)
+		}
+	case Binary:
+		for c := 2*r + 1; c <= 2*r+2 && c < p; c++ {
+			dst = append(dst, c)
+		}
+	case Binomial:
+		low := bits.Len(uint(p - 1)) // the root: every bit that reaches p
+		if r != 0 {
+			low = bits.TrailingZeros(uint(r))
 		}
 		for k := low - 1; k >= 0; k-- {
-			c := r | (1 << k)
-			if c < p && c != r {
-				t.Children[r] = append(t.Children[r], c)
-				t.Parent[c] = r
+			if c := r | 1<<k; c < p {
+				dst = append(dst, c)
 			}
 		}
+	default:
+		panic(fmt.Sprintf("intracluster: unknown shape %v", s))
 	}
+	return dst
 }
 
 // Validate checks the tree is a well-formed spanning tree rooted at 0.
@@ -227,10 +225,36 @@ func (t *Tree) Completion(p plogp.Params, m int64) float64 {
 
 // Predict returns the predicted intra-cluster broadcast time T for a
 // homogeneous cluster of p nodes using the given shape. A single-node
-// cluster broadcasts in zero time.
+// cluster broadcasts in zero time. It walks the shape's children directly,
+// so it builds no tree; the result is Completion's, bit for bit.
 func Predict(shape Shape, p int, params plogp.Params, m int64) float64 {
 	if p <= 1 {
 		return 0
 	}
-	return New(shape, p).Completion(params, m)
+	w := predictWalk{shape: shape, p: p, os: params.SendOverhead(m), g: params.Gap(m), l: params.L, or: params.RecvOverhead(m)}
+	return w.latest(0, 0)
+}
+
+// predictWalk is ArrivalTimes' recursion over a shape instead of a Tree.
+type predictWalk struct {
+	shape        Shape
+	p            int
+	os, g, l, or float64
+}
+
+// latest returns the latest arrival in node n's subtree, n holding the
+// message at time at.
+func (w *predictWalk) latest(n int, at float64) float64 {
+	// Binomial nodes have at most 63 children; only a flat root outgrows
+	// the stack buffer.
+	var buf [64]int
+	worst := at
+	start := at + w.os
+	for _, c := range w.shape.AppendChildren(buf[:0], w.p, n) {
+		start += w.g
+		if a := w.latest(c, start+w.l+w.or); a > worst {
+			worst = a
+		}
+	}
+	return worst
 }

@@ -204,3 +204,63 @@ func TestBinomialDepthProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refBinomialChildren is the loop-based binomial construction that
+// AppendChildren's bit arithmetic replaces: node r's children are r | 2^k
+// for k below r's lowest set bit, highest first.
+func refBinomialChildren(p int) [][]int {
+	children := make([][]int, p)
+	maxBit := 0
+	for (1 << (maxBit + 1)) < p {
+		maxBit++
+	}
+	if p == 1 {
+		return children
+	}
+	for r := 0; r < p; r++ {
+		low := maxBit + 1
+		if r != 0 {
+			low = 0
+			for r&(1<<low) == 0 {
+				low++
+			}
+		}
+		for k := low - 1; k >= 0; k-- {
+			if c := r | (1 << k); c < p {
+				children[r] = append(children[r], c)
+			}
+		}
+	}
+	return children
+}
+
+func TestBinomialMatchesLoopConstruction(t *testing.T) {
+	for p := 1; p <= 130; p++ {
+		tree, want := New(Binomial, p), refBinomialChildren(p)
+		for r := range want {
+			if len(tree.Children[r]) != len(want[r]) {
+				t.Fatalf("p=%d: children of %d = %v, want %v", p, r, tree.Children[r], want[r])
+			}
+			for i := range want[r] {
+				if tree.Children[r][i] != want[r][i] {
+					t.Fatalf("p=%d: children of %d = %v, want %v", p, r, tree.Children[r], want[r])
+				}
+			}
+		}
+	}
+}
+
+// TestPredictMatchesTreeCompletion pins Predict, which walks the shape
+// without building a tree, to the tree's Completion bit for bit.
+func TestPredictMatchesTreeCompletion(t *testing.T) {
+	params := plogp.Params{L: 0.0013, G: plogp.Linear(1e-4, 3e-9), Os: plogp.Constant(2e-5), Or: plogp.Linear(1e-5, 1e-10)}
+	for _, s := range Shapes {
+		for p := 1; p <= 130; p++ {
+			for _, m := range []int64{0, 1000, 1 << 20} {
+				if got, want := Predict(s, p, params, m), New(s, p).Completion(params, m); got != want {
+					t.Fatalf("%v p=%d m=%d: Predict %v, Completion %v", s, p, m, got, want)
+				}
+			}
+		}
+	}
+}

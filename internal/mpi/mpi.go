@@ -92,10 +92,8 @@ func ExecuteSchedule(g *topology.Grid, sc *sched.Schedule, m int64, opt Options)
 	}
 	sends := sendLists(g.N(), sc.Events)
 	return run(g, sched.Layout(g, 0), opt, " (lost message?)", func(w *world) func() {
-		ex := newWholeExec(w, sc, m, opt)
-		for c, dsts := range sends {
-			ex.startCluster(c, dsts)
-		}
+		ex := newWholeExec(w, sc, sends, m, opt)
+		w.spawnNodes(ex.node)
 		return ex.finish
 	})
 }
@@ -114,7 +112,6 @@ func ExecuteBinomialGridUnaware(g *topology.Grid, rootCluster int, m int64, opt 
 		return nil, err
 	}
 	layout := sched.Layout(g, rootCluster)
-	tree := intracluster.New(intracluster.Binomial, len(layout))
 	return run(g, layout, opt, "", func(w *world) func() {
 		record := func(rank int, at float64) {
 			// Clusters modelled by an explicit BcastTime still pay their
@@ -127,45 +124,81 @@ func ExecuteBinomialGridUnaware(g *topology.Grid, rootCluster int, m int64, opt 
 				w.res.ClusterCompletion[c] = at
 			}
 		}
+		body := func(p *sim.Proc) {
+			rank := p.ID()
+			if rank != 0 {
+				msg := w.nw.Recv(p, rank)
+				record(rank, msg.ArrivedAt)
+			} else {
+				record(0, 0) // the root holds the message at t=0
+			}
+			var kids [64]int
+			for _, child := range intracluster.Binomial.AppendChildren(kids[:0], len(layout), rank) {
+				w.nw.Send(p, rank, child, m, TagIntra, nil)
+			}
+		}
+		name := func(rank int) string { return fmt.Sprintf("rank-%d", rank) }
 		for rank := range layout {
-			w.env.Process(fmt.Sprintf("rank-%d", rank), func(p *sim.Proc) {
-				if rank != 0 {
-					msg := w.nw.Recv(p, rank)
-					record(rank, msg.ArrivedAt)
-				} else {
-					record(0, 0) // the root holds the message at t=0
-				}
-				for _, child := range tree.Children[rank] {
-					w.nw.Send(p, rank, child, m, TagIntra, nil)
-				}
-			})
+			w.env.Spawn(rank, body, name)
 		}
 		return nil
 	})
 }
 
 // world is the simulated machine set of one execution: the kernel, the
-// network, the endpoint of each cluster's coordinator (its local rank 0)
-// and the result the processes fill in.
+// network, the place of each endpoint, the endpoint of each cluster's
+// coordinator (its local rank 0) and the result the processes fill in.
 type world struct {
 	g       *topology.Grid
 	env     *sim.Env
 	nw      *vnet.Network
+	layout  []sched.NodePlace
 	offsets []int
 	res     *Result
 }
 
+// procName names the process of endpoint id (the id the executors spawn
+// it with): coord-<cluster> for a coordinator, <cluster>-<rank> for a local
+// node. The kernel calls it only when a name is read.
+func (w *world) procName(id int) string {
+	np := w.layout[id]
+	name := w.g.Clusters[np.Cluster].Name
+	if np.Rank == 0 {
+		return "coord-" + name
+	}
+	return fmt.Sprintf("%s-%d", name, np.Rank)
+}
+
+// spawnNodes starts body on every cluster's coordinator and, where the
+// local phase is a real tree (no modelled BcastTime), on its local nodes,
+// in cluster order. Each process's id is its endpoint, and it is bound to
+// that endpoint so a crash fault can kill it.
+func (w *world) spawnNodes(body func(p *sim.Proc)) {
+	name := w.procName
+	for c, cl := range w.g.Clusters {
+		coord := w.offsets[c]
+		w.nw.Bind(coord, w.env.Spawn(coord, body, name))
+		if cl.BcastTime > 0 {
+			continue
+		}
+		for r := 1; r < cl.Nodes; r++ {
+			w.nw.Bind(coord+r, w.env.Spawn(coord+r, body, name))
+		}
+	}
+}
+
 // run is the scaffold every executor shares. Endpoint i of the network is
-// process layout[i]; spawn starts the processes and returns the completion
-// report to apply after the run (nil: every node was reached). A run that
-// ends with processes still blocked fails, the error naming their count and
-// the executor's stuck suffix. The makespan is the latest cluster
-// completion.
+// process layout[i]; spawn starts the processes (at most one per endpoint,
+// which is what the kernel's and network's buffers are sized for) and
+// returns the completion report to apply after the run (nil: every node
+// was reached). A run that ends with processes still blocked fails, the
+// error naming their count and the executor's stuck suffix. The makespan
+// is the latest cluster completion.
 func run(g *topology.Grid, layout []sched.NodePlace, opt Options, stuck string,
 	spawn func(w *world) (finish func())) (*Result, error) {
 
 	n := g.N()
-	w := &world{g: g, env: sim.New(), offsets: make([]int, n), res: &Result{
+	w := &world{g: g, env: sim.New(), layout: layout, offsets: make([]int, n), res: &Result{
 		ClusterCompletion:  make([]float64, n),
 		CoordinatorArrival: make([]float64, n),
 		Completed:          make([]bool, n),
@@ -182,6 +215,7 @@ func run(g *topology.Grid, layout []sched.NodePlace, opt Options, stuck string,
 		}
 		return g.Inter[cf][ct]
 	}
+	w.env.Grow(len(layout))
 	w.nw = vnet.New(w.env, len(layout), link, opt.Net)
 
 	finish := spawn(w)

@@ -48,7 +48,9 @@ const (
 // sim kernel is single-threaded, so plain fields suffice.
 type wholeExec struct {
 	*world
-	sc    *sched.Schedule
+	sc *sched.Schedule
+	// sends[c] lists cluster c's wide-area destinations in round order.
+	sends [][]int
 	m     int64
 	shape intracluster.Shape
 	// armed selects deadline-guarded receives (a non-empty fault plan).
@@ -61,82 +63,85 @@ type wholeExec struct {
 	localGot [][]bool
 }
 
-func newWholeExec(w *world, sc *sched.Schedule, m int64, opt Options) *wholeExec {
+func newWholeExec(w *world, sc *sched.Schedule, sends [][]int, m int64, opt Options) *wholeExec {
 	ex := &wholeExec{
-		world: w, sc: sc, m: m, shape: opt.IntraShape,
+		world: w, sc: sc, sends: sends, m: m, shape: opt.IntraShape,
 		armed:    !opt.Net.Faults.Empty(),
 		slack:    max(ftSlack*sc.Makespan, ftMinSlack),
 		holder:   make([]bool, w.g.N()),
 		localGot: make([][]bool, w.g.N()),
 	}
+	got := make([]bool, len(w.layout)) // one row per cluster, by endpoint
 	for c := range ex.localGot {
-		ex.localGot[c] = make([]bool, w.g.Clusters[c].Nodes)
+		lo, hi := w.offsets[c], w.offsets[c]+w.g.Clusters[c].Nodes
+		ex.localGot[c] = got[lo:hi:hi]
 	}
 	return ex
 }
 
-// startCluster spawns the coordinator and local node processes of cluster c.
-func (ex *wholeExec) startCluster(c int, destinations []int) {
-	g, nw, res := ex.g, ex.nw, ex.res
-	cl := g.Clusters[c]
-	coord := ex.offsets[c]
-	isRoot := c == ex.sc.Root
-	var tree *intracluster.Tree
-	if cl.BcastTime == 0 && cl.Nodes > 1 {
-		tree = intracluster.New(ex.shape, cl.Nodes)
+// node is the program of the process on endpoint p.ID().
+func (ex *wholeExec) node(p *sim.Proc) {
+	np := ex.layout[p.ID()]
+	if np.Rank == 0 {
+		ex.coordinator(p, np.Cluster)
+	} else {
+		ex.local(p, np.Cluster, np.Rank)
 	}
+}
 
-	cp := ex.env.Process(fmt.Sprintf("coord-%s", cl.Name), func(p *sim.Proc) {
-		if !isRoot {
-			msg, ok := ex.recvInter(p, c)
-			if !ok {
-				return // orphaned for good: Completed[c] stays false
-			}
-			res.CoordinatorArrival[c] = msg.ArrivedAt
-			if msg.ArrivedAt > res.ClusterCompletion[c] {
-				res.ClusterCompletion[c] = msg.ArrivedAt
-			}
+// coordinator waits for the wide-area message (unless c is the root),
+// forwards it to c's destinations, then starts the local broadcast.
+func (ex *wholeExec) coordinator(p *sim.Proc, c int) {
+	nw, res := ex.nw, ex.res
+	cl := ex.g.Clusters[c]
+	coord := ex.offsets[c]
+	if c != ex.sc.Root {
+		msg, ok := ex.recvInter(p, c)
+		if !ok {
+			return // orphaned for good: Completed[c] stays false
 		}
-		ex.holder[c] = true
-		ex.localGot[c][0] = true
-		for _, dst := range destinations {
-			nw.Send(p, coord, ex.offsets[dst], ex.m, TagInter, nil)
+		res.CoordinatorArrival[c] = msg.ArrivedAt
+		if msg.ArrivedAt > res.ClusterCompletion[c] {
+			res.ClusterCompletion[c] = msg.ArrivedAt
 		}
-		switch {
-		case cl.BcastTime > 0:
-			p.Wait(cl.BcastTime)
-			res.ClusterCompletion[c] = p.Now()
-			for r := range ex.localGot[c] {
-				ex.localGot[c][r] = true
-			}
-		case cl.Nodes == 1:
-			res.ClusterCompletion[c] = p.Now()
-		default:
-			for _, child := range tree.Children[0] {
-				nw.Send(p, coord, coord+child, ex.m, TagIntra, nil)
-			}
+	}
+	ex.holder[c] = true
+	ex.localGot[c][0] = true
+	for _, dst := range ex.sends[c] {
+		nw.Send(p, coord, ex.offsets[dst], ex.m, TagInter, nil)
+	}
+	switch {
+	case cl.BcastTime > 0:
+		p.Wait(cl.BcastTime)
+		res.ClusterCompletion[c] = p.Now()
+		for r := range ex.localGot[c] {
+			ex.localGot[c][r] = true
 		}
-	})
-	nw.Bind(coord, cp)
+	case cl.Nodes == 1:
+		res.ClusterCompletion[c] = p.Now()
+	default:
+		var kids [64]int
+		for _, child := range ex.shape.AppendChildren(kids[:0], cl.Nodes, 0) {
+			nw.Send(p, coord, coord+child, ex.m, TagIntra, nil)
+		}
+	}
+}
 
-	if tree == nil {
+// local waits for the message at rank r of cluster c and forwards it down
+// the local tree.
+func (ex *wholeExec) local(p *sim.Proc, c, r int) {
+	msg, ok := ex.recvIntra(p, c, r)
+	if !ok {
 		return
 	}
-	for r := 1; r < cl.Nodes; r++ {
-		lp := ex.env.Process(fmt.Sprintf("%s-%d", cl.Name, r), func(p *sim.Proc) {
-			msg, ok := ex.recvIntra(p, c, r)
-			if !ok {
-				return
-			}
-			ex.localGot[c][r] = true
-			for _, child := range tree.Children[r] {
-				nw.Send(p, coord+r, coord+child, ex.m, TagIntra, nil)
-			}
-			if msg.ArrivedAt > res.ClusterCompletion[c] {
-				res.ClusterCompletion[c] = msg.ArrivedAt
-			}
-		})
-		nw.Bind(coord+r, lp)
+	ex.localGot[c][r] = true
+	coord := ex.offsets[c]
+	var kids [64]int
+	for _, child := range ex.shape.AppendChildren(kids[:0], ex.g.Clusters[c].Nodes, r) {
+		ex.nw.Send(p, coord+r, coord+child, ex.m, TagIntra, nil)
+	}
+	if msg.ArrivedAt > ex.res.ClusterCompletion[c] {
+		ex.res.ClusterCompletion[c] = msg.ArrivedAt
 	}
 }
 

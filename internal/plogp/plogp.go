@@ -20,9 +20,11 @@
 package plogp
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -49,7 +51,10 @@ func NewSizeFunc(pts []Point) (SizeFunc, error) {
 		return SizeFunc{}, errors.New("plogp: SizeFunc needs at least one point")
 	}
 	s := append([]Point(nil), pts...)
-	sort.Slice(s, func(i, j int) bool { return s[i].Size < s[j].Size })
+	// slices.SortFunc with a capture-free comparison allocates nothing (a
+	// sort.Slice closure and its reflect swapper cost allocations on every
+	// call), and platform generation builds one SizeFunc per link.
+	slices.SortFunc(s, func(a, b Point) int { return cmp.Compare(a.Size, b.Size) })
 	for i, p := range s {
 		if p.Sec < 0 {
 			return SizeFunc{}, fmt.Errorf("plogp: negative cost %g at size %d", p.Sec, p.Size)

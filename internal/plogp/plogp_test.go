@@ -29,6 +29,30 @@ func TestNewSizeFuncValidation(t *testing.T) {
 	}
 }
 
+func TestNewSizeFuncSortsPoints(t *testing.T) {
+	f := MustSizeFunc([]Point{{200, 4}, {0, 1}, {100, 2}})
+	want := []Point{{0, 1}, {100, 2}, {200, 4}}
+	for i, p := range want {
+		if got := f.PointAt(i); got != p {
+			t.Fatalf("point %d = %v, want %v (all: %v)", i, got, p, f.Points())
+		}
+	}
+	if got := f.At(150); got != 3 {
+		t.Errorf("At(150) = %g, want 3", got)
+	}
+}
+
+// TestConstantAllocatesOnce pins the cost of the per-link SizeFuncs
+// platform generation builds: the point copy is the only allocation.
+func TestConstantAllocatesOnce(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { Constant(0.25) }); n != 1 {
+		t.Errorf("Constant allocates %g times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { Linear(1e-3, 1e-8) }); n != 1 {
+		t.Errorf("Linear allocates %g times, want 1", n)
+	}
+}
+
 func TestSizeFuncInterpolation(t *testing.T) {
 	f := MustSizeFunc([]Point{{0, 1}, {100, 2}, {200, 4}})
 	cases := []struct {

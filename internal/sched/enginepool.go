@@ -294,29 +294,30 @@ func (ep *EnginePool) loadLookahead(ls *lookaheadSet, h ecef, p *Problem, local 
 // pipeline the result is never worse than h's coordinator-only schedule at
 // the same segmentation (coordGuard).
 func (ep *EnginePool) ScheduleSegmented(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	return ep.scheduleSegmented(h, sp, math.Inf(1))
+	return ep.scheduleSegmented(h, sp, math.Inf(1), &fallbackTree{h: h})
 }
 
 // scheduleSegmented is ScheduleSegmented under runSegmented's incumbent
 // cut: nil, or a schedule with a makespan of at least bound, unless the
-// unbounded build's makespan is below bound (see coordGuard).
-func (ep *EnginePool) scheduleSegmented(h Heuristic, sp *SegmentedProblem, bound float64) *SegmentedSchedule {
+// unbounded build's makespan is below bound (see coordGuard). fallback
+// (h's own tree) is used only when h has no native segmented picker.
+func (ep *EnginePool) scheduleSegmented(h Heuristic, sp *SegmentedProblem, bound float64, fallback *fallbackTree) *SegmentedSchedule {
 	return coordGuard(h, sp, bound, func(spx *SegmentedProblem, bound float64) *SegmentedSchedule {
 		if spx.N < segEngineMinN {
-			return segmentedWith(h, spx, segPolicyFor(h, spx), h, bound)
+			return segmentedWith(h, spx, segPolicyFor(h, spx), fallback, bound)
 		}
-		return ep.scheduleSegmentedOnce(h, spx, bound)
+		return ep.scheduleSegmentedOnce(h, spx, bound, fallback)
 	})
 }
 
 // scheduleSegmentedOnce is one coordGuard pass through the pooled segmented
 // engines, whatever the cluster count.
-func (ep *EnginePool) scheduleSegmentedOnce(h Heuristic, sp *SegmentedProblem, bound float64) *SegmentedSchedule {
+func (ep *EnginePool) scheduleSegmentedOnce(h Heuristic, sp *SegmentedProblem, bound float64, fallback *fallbackTree) *SegmentedSchedule {
 	pol := ep.segEngineFor(h, sp)
 	if pol != nil && ep.Scan != nil {
 		pol = ep.Scan.segPolicyFor(pol)
 	}
-	return segmentedWith(h, sp, pol, h, bound)
+	return segmentedWith(h, sp, pol, fallback, bound)
 }
 
 // segEngineFor readies the pooled incremental segmented picker for h, or

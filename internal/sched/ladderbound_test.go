@@ -110,11 +110,11 @@ func checkRungBound(t *testing.T, label string, ep *EnginePool, h Heuristic, sp 
 		}
 	}
 	above := math.Nextafter(want.Makespan, math.Inf(1))
-	if got := ep.scheduleSegmented(h, sp, above); !reflect.DeepEqual(got, want) {
+	if got := ep.scheduleSegmented(h, sp, above, &fallbackTree{h: h}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: build bounded just above its makespan diverges", label)
 	}
 	for _, b := range []float64{want.Makespan, want.Makespan / 2} {
-		if got := ep.scheduleSegmented(h, sp, b); got != nil && got.Makespan < b {
+		if got := ep.scheduleSegmented(h, sp, b, &fallbackTree{h: h}); got != nil && got.Makespan < b {
 			t.Fatalf("%s: build bounded at %v returned makespan %v", label, b, got.Makespan)
 		}
 	}
@@ -140,6 +140,41 @@ func TestLadderBoundSound(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// countingHeuristic is a heuristic without a native segmented picker that
+// counts its unsegmented builds.
+type countingHeuristic struct {
+	Heuristic
+	builds *int
+}
+
+func (c countingHeuristic) Schedule(p *Problem) *Schedule {
+	*c.builds++
+	return c.Heuristic.Schedule(p)
+}
+
+// TestLadderBuildsFallbackTreeOnce pins that a ladder search over a
+// heuristic without a native segmented picker builds its unsegmented tree
+// once, not once per rung and coordGuard pass, and still equals the
+// unbounded ladder.
+func TestLadderBuildsFallbackTreeOnce(t *testing.T) {
+	g := topology.RandomClusteredGrid(stats.NewRand(3), 16)
+	m := int64(16 << 20)
+	for _, mode := range ladderModes {
+		builds := 0
+		pl := Pipelined{Base: countingHeuristic{Heuristic: ECEFLA(), builds: &builds}}
+		got, err := pl.BestContext(context.Background(), NewEnginePool(), g, 2, m, mode.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if builds != 1 {
+			t.Errorf("%s: %d unsegmented builds over %d rungs, want 1", mode.name, builds, len(DefaultSegmentLadder(m)))
+		}
+		if want := unboundedLadder(NewEnginePool(), pl, g, 2, m, mode.opt); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: ladder diverges from the unbounded one", mode.name)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // platforms still exercise the engine under test.
 func epSegSchedule(ep *EnginePool, h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
 	return coordGuard(h, sp, math.Inf(1), func(spx *SegmentedProblem, bound float64) *SegmentedSchedule {
-		return ep.scheduleSegmentedOnce(h, spx, bound)
+		return ep.scheduleSegmentedOnce(h, spx, bound, &fallbackTree{h: h})
 	})
 }
 

@@ -24,7 +24,7 @@ func assertSegIdentical(t *testing.T, label string, inc, ref *SegmentedSchedule)
 // the segEngineMinN routing gate, so small golden platforms (Grid5000 has
 // 6 clusters) still pin the engine itself and not naive-vs-naive.
 func segEngineSchedule(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	return NewEnginePool().scheduleSegmentedOnce(h, sp, math.Inf(1))
+	return NewEnginePool().scheduleSegmentedOnce(h, sp, math.Inf(1), &fallbackTree{h: h})
 }
 
 // TestSegmentedEngineMatchesReferenceGrid5000 pins the golden equivalence

@@ -706,13 +706,32 @@ func ScheduleSegmented(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
 	return ep.ScheduleSegmented(h, sp)
 }
 
+// fallbackTree is the unsegmented tree that a heuristic without a native
+// segmented picker has re-timed under the per-segment model, built on first
+// use. Every rung of a ladder search and both coordGuard passes share the
+// full-message Problem (and its costs), so one fallbackTree per search
+// builds the tree once instead of once per rung and pass.
+type fallbackTree struct {
+	h     Heuristic
+	pairs [][2]int
+	built bool
+}
+
+// tree returns the fallback heuristic's (sender, receiver) pairs on p.
+func (f *fallbackTree) tree(p *Problem) [][2]int {
+	if !f.built {
+		f.pairs, f.built = pairsOf(f.h.Schedule(p)), true
+	}
+	return f.pairs
+}
+
 // segmentedWith runs the segmented picker pol on sp, or — when h has no
-// native segmented picker (pol == nil) — re-times fallback's unsegmented
-// tree under the per-segment model. bound is runSegmented's incumbent cut
-// (nil result when it fires).
-func segmentedWith(h Heuristic, sp *SegmentedProblem, pol segPolicy, fallback Heuristic, bound float64) *SegmentedSchedule {
+// native segmented picker (pol == nil) — re-times the fallback tree under
+// the per-segment model. bound is runSegmented's incumbent cut (nil result
+// when it fires).
+func segmentedWith(h Heuristic, sp *SegmentedProblem, pol segPolicy, fallback *fallbackTree, bound float64) *SegmentedSchedule {
 	if pol == nil {
-		pol = &segScripted{pairs: pairsOf(fallback.Schedule(sp.Problem))}
+		pol = &segScripted{pairs: fallback.tree(sp.Problem)}
 	}
 	ss := runSegmented(pol, sp, bound)
 	if ss != nil {
@@ -726,8 +745,9 @@ func segmentedWith(h Heuristic, sp *SegmentedProblem, pol segPolicy, fallback He
 // tested and benchmarked against. The produced schedules are identical to
 // ScheduleSegmented's in every field; only the construction cost differs.
 func ScheduleSegmentedReference(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
+	fallback := &fallbackTree{h: Reference{Base: h}}
 	return coordGuard(h, sp, math.Inf(1), func(spx *SegmentedProblem, bound float64) *SegmentedSchedule {
-		return segmentedWith(h, spx, segPolicyFor(h, spx), Reference{Base: h}, bound)
+		return segmentedWith(h, spx, segPolicyFor(h, spx), fallback, bound)
 	})
 }
 
@@ -822,6 +842,7 @@ func (pl Pipelined) BestContext(ctx context.Context, ep *EnginePool, g *topology
 		ladder = DefaultSegmentLadder(m)
 	}
 	var best *SegmentedSchedule
+	fallback := &fallbackTree{h: pl.base()}
 	for _, s := range ladder {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -834,7 +855,7 @@ func (pl Pipelined) BestContext(ctx context.Context, ep *EnginePool, g *topology
 		if best != nil {
 			bound = best.Makespan
 		}
-		if ss := ep.scheduleSegmented(pl.base(), sp, bound); ss != nil && (best == nil || ss.Makespan < best.Makespan) {
+		if ss := ep.scheduleSegmented(pl.base(), sp, bound, fallback); ss != nil && (best == nil || ss.Makespan < best.Makespan) {
 			best = ss
 		}
 	}

@@ -23,58 +23,68 @@ import (
 	"iter"
 	"math"
 	"runtime/debug"
+	"slices"
 	"sync"
 )
 
 // errKilled is the sentinel panic value used to unwind killed processes.
 var errKilled = errors.New("sim: process killed")
 
-// Event kinds. Resuming a blocked process and delivering a channel message
-// are the kernel's two hot actions, so they are encoded directly in the
-// event instead of closing over their targets: scheduling then allocates
-// nothing beyond the (amortised, reused) heap slot itself.
+// Event kinds. Resuming a blocked process and calling a Target are the
+// kernel's hot actions, so they are encoded directly in the event instead
+// of closing over their targets: scheduling then allocates nothing beyond
+// the (amortised, reused) arena and heap slots themselves.
 const (
 	evFunc uint8 = iota
 	evResume
-	evDeliver
+	evCall
 )
 
-// deliverTarget is the kernel-facing face of a Chan[T]: delayed sends park
-// their payload in the channel's own typed arena and the queue carries only
-// the (target, slot) pair. Storing a *Chan[T] in this interface field moves
-// a pointer, not a value — no payload ever passes through an `any` box on
-// the way into or out of the event queue.
-type deliverTarget interface {
-	deliverSlot(slot int32)
+// Target is the receiver of a tagged call event (ScheduleCall): the kernel
+// hands back the int32 the call was scheduled with. A client keeps what the
+// call concerns in its own typed arena and addresses it by that index, so
+// neither a closure nor a boxed payload passes through the event queue, and
+// storing a pointer-shaped Target in the event moves a pointer, not a value.
+// Chan's SendAfter staging is one Target; internal/vnet's in-flight message
+// arena is another.
+type Target interface {
+	Fire(arg int32)
 }
 
 // event is one scheduled kernel action: a tagged union stored by value in
-// the queue. The queue's backing array acts as the event pool — slots are
-// recycled in place as events are popped and pushed, so steady-state
-// simulation performs no per-event allocation.
+// the Env's event arena. The arena's slots are recycled through a free list
+// as events run and are scheduled, so steady-state simulation performs no
+// per-event allocation. The heap orders only eventKeys, which hold no
+// pointers: sifting moves plain words and pays no GC write barriers.
 type event struct {
-	time float64
-	seq  int64
 	kind uint8
-	slot int32         // evDeliver payload slot in ch's arena
-	proc *Proc         // evResume target
-	ch   deliverTarget // evDeliver target
-	fn   func()        // evFunc body
+	// arg is the evCall argument; in a vacant slot it links the free list.
+	arg  int32
+	proc *Proc  // evResume target
+	call Target // evCall target
+	fn   func() // evFunc body
 }
 
-// eventQueue is a hand-rolled binary min-heap of value-typed events ordered
-// by (time, seq); ties resolve in schedule order, keeping runs reproducible.
-type eventQueue []event
+// eventKey places an arena slot's event in the queue.
+type eventKey struct {
+	time float64
+	seq  int64
+	slot int32
+}
 
-func eventLess(a, b *event) bool {
+// eventQueue is a hand-rolled binary min-heap of event keys ordered by
+// (time, seq); ties resolve in schedule order, keeping runs reproducible.
+type eventQueue []eventKey
+
+func eventLess(a, b *eventKey) bool {
 	if a.time != b.time {
 		return a.time < b.time
 	}
 	return a.seq < b.seq
 }
 
-func (q *eventQueue) push(ev event) {
-	s := append(*q, ev)
+func (q *eventQueue) push(k eventKey) {
+	s := append(*q, k)
 	for c := len(s) - 1; c > 0; {
 		p := (c - 1) / 2
 		if !eventLess(&s[c], &s[p]) {
@@ -86,12 +96,11 @@ func (q *eventQueue) push(ev event) {
 	*q = s
 }
 
-func (q *eventQueue) pop() event {
+func (q *eventQueue) pop() eventKey {
 	s := *q
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = event{} // drop references held by the vacated pool slot
 	s = s[:n]
 	for i := 0; ; {
 		l := 2*i + 1
@@ -123,19 +132,30 @@ type Env struct {
 	now   float64
 	queue eventQueue
 	seq   int64
-	live  map[*Proc]struct{}
+	// events is the arena the queue's keys address; free heads its list
+	// of vacant slots (-1: none).
+	events []event
+	free   int32
+	// first and last bound the list of every process created, in creation
+	// order, chained through Proc.next (Shutdown's kill list); live counts
+	// those not finished. slab is the chunk new Procs are carved from: a
+	// process lives as long as its Env, so it needs no allocation of its
+	// own.
+	first, last *Proc
+	live        int
+	slab        []Proc
 }
 
 // New creates an empty environment at virtual time 0.
 func New() *Env {
-	return &Env{live: map[*Proc]struct{}{}}
+	return &Env{free: -1}
 }
 
 // Now returns the current virtual time in seconds.
 func (e *Env) Now() float64 { return e.now }
 
 // Live returns the number of processes that have not finished.
-func (e *Env) Live() int { return len(e.live) }
+func (e *Env) Live() int { return e.live }
 
 // Pending returns the number of scheduled events.
 func (e *Env) Pending() int { return len(e.queue) }
@@ -146,22 +166,49 @@ func (e *Env) Schedule(delay float64, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %g", delay))
 	}
+	e.schedule(delay, event{kind: evFunc, fn: fn})
+}
+
+// schedule parks ev in the arena and queues it at now+delay.
+func (e *Env) schedule(delay float64, ev event) {
+	slot := e.free
+	if slot >= 0 {
+		e.free = e.events[slot].arg
+		e.events[slot] = ev
+	} else {
+		slot = int32(len(e.events))
+		e.events = append(e.events, ev)
+	}
 	e.seq++
-	e.queue.push(event{time: e.now + delay, seq: e.seq, kind: evFunc, fn: fn})
+	e.queue.push(eventKey{time: e.now + delay, seq: e.seq, slot: slot})
 }
 
 // scheduleResume schedules p to be handed control at now+delay without
 // allocating a closure.
 func (e *Env) scheduleResume(delay float64, p *Proc) {
-	e.seq++
-	e.queue.push(event{time: e.now + delay, seq: e.seq, kind: evResume, proc: p})
+	e.schedule(delay, event{kind: evResume, proc: p})
 }
 
-// scheduleDeliver schedules the delivery of ch's staged slot at now+delay
-// without allocating a closure or boxing the payload.
-func (e *Env) scheduleDeliver(delay float64, ch deliverTarget, slot int32) {
-	e.seq++
-	e.queue.push(event{time: e.now + delay, seq: e.seq, kind: evDeliver, ch: ch, slot: slot})
+// ScheduleCall runs t.Fire(arg) at virtual time now+delay in kernel
+// context, like Schedule, but without allocating: the event carries t and
+// arg themselves. Fire must not block.
+func (e *Env) ScheduleCall(delay float64, t Target, arg int32) {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %g", delay))
+	}
+	e.schedule(delay, event{kind: evCall, call: t, arg: arg})
+}
+
+// Grow reserves room for n more scheduled events and n more processes. A
+// caller that knows the size of what it is about to simulate (one process
+// per simulated node, each with about one pending event) saves the queue
+// regrowing from empty.
+func (e *Env) Grow(n int) {
+	e.queue = slices.Grow(e.queue, n)
+	e.events = slices.Grow(e.events, n)
+	if cap(e.slab)-len(e.slab) < n {
+		e.slab = make([]Proc, 0, n)
+	}
 }
 
 // maxIdleWorkers caps the shared free list of parked workers. It covers
@@ -238,7 +285,11 @@ func (w *worker) loop(yield func(struct{}) bool) {
 type Proc struct {
 	env  *Env
 	name string
-	fn   func(p *Proc)
+	// id and namer are Spawn's: the caller's id for the process, and the
+	// function that formats its name when Name is called.
+	id    int
+	namer func(id int) string
+	fn    func(p *Proc)
 	// w is the worker running the process: nil until its first resume and
 	// again once it has finished.
 	w *worker
@@ -246,6 +297,8 @@ type Proc struct {
 	// errKilled (see Kill).
 	killed bool
 	done   bool
+	// next links the Env's list of processes.
+	next *Proc
 	// waitSeq counts channel-wait registrations; RecvUntil timeout events
 	// carry the sequence they were armed for, so a timer outlives its wait
 	// harmlessly (see RecvUntil).
@@ -253,7 +306,15 @@ type Proc struct {
 }
 
 // Name returns the process name (for traces and error messages).
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string {
+	if p.namer != nil {
+		return p.namer(p.id)
+	}
+	return p.name
+}
+
+// ID returns the id the process was spawned with (0 for Process).
+func (p *Proc) ID() int { return p.id }
 
 // Env returns the owning environment.
 func (p *Proc) Env() *Env { return p.env }
@@ -265,8 +326,33 @@ func (p *Proc) Now() float64 { return p.env.now }
 // time (once Run is pumping events). It may be called before Run or from
 // inside another process.
 func (e *Env) Process(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, fn: fn}
-	e.live[p] = struct{}{}
+	return e.start(Proc{env: e, name: name, fn: fn})
+}
+
+// Spawn is Process for a program that starts many processes from one body:
+// fn tells them apart by p.ID(), which returns id, and name formats a
+// process's name from its id only when Name (or a panic report) asks for
+// it. Spawning therefore needs neither a closure nor a formatted string per
+// process.
+func (e *Env) Spawn(id int, fn func(p *Proc), name func(id int) string) *Proc {
+	return e.start(Proc{env: e, id: id, namer: name, fn: fn})
+}
+
+// start places proc in the slab, registers it and schedules its first
+// resume. Slab chunks double from 8 Procs unless Grow sized one.
+func (e *Env) start(proc Proc) *Proc {
+	if len(e.slab) == cap(e.slab) {
+		e.slab = make([]Proc, 0, max(2*cap(e.slab), 8))
+	}
+	e.slab = append(e.slab, proc)
+	p := &e.slab[len(e.slab)-1]
+	if e.last == nil {
+		e.first = p
+	} else {
+		e.last.next = p
+	}
+	e.last = p
+	e.live++
 	e.scheduleResume(0, p)
 	return p
 }
@@ -281,8 +367,8 @@ func (p *Proc) run() {
 		if r := recover(); r != nil && r != errKilled {
 			// The worker's coroutine dies with this panic and transfer
 			// never returns to retire the process, so retire it here.
-			delete(p.env.live, p)
-			panic(fmt.Sprintf("sim: process %q panicked: %v\n\n%s", p.name, r, debug.Stack()))
+			p.env.live--
+			panic(fmt.Sprintf("sim: process %q panicked: %v\n\n%s", p.Name(), r, debug.Stack()))
 		}
 	}()
 	p.fn(p)
@@ -298,7 +384,7 @@ func (e *Env) transfer(p *Proc) {
 	if p.w == nil {
 		if p.killed {
 			p.done = true
-			delete(e.live, p)
+			e.live--
 			return
 		}
 		p.w = getWorker()
@@ -306,7 +392,7 @@ func (e *Env) transfer(p *Proc) {
 	}
 	p.w.next()
 	if p.done {
-		delete(e.live, p)
+		e.live--
 		putWorker(p.w)
 		p.w = nil
 	}
@@ -351,13 +437,16 @@ func (e *Env) RunUntil(limit float64) float64 {
 
 // step pops the earliest event, advances the clock to it and runs it.
 func (e *Env) step() {
-	ev := e.queue.pop()
-	e.now = ev.time
+	k := e.queue.pop()
+	ev := e.events[k.slot]
+	e.events[k.slot] = event{arg: e.free} // drop the references it held
+	e.free = k.slot
+	e.now = k.time
 	switch ev.kind {
 	case evResume:
 		e.transfer(ev.proc)
-	case evDeliver:
-		ev.ch.deliverSlot(ev.slot)
+	case evCall:
+		ev.call.Fire(ev.arg)
 	default:
 		ev.fn()
 	}
@@ -401,9 +490,11 @@ func (e *Env) Kill(p *Proc) {
 // their workers to the pool. The event queue is cleared. The environment
 // can be inspected afterwards but not reused.
 func (e *Env) Shutdown() {
-	e.queue = nil
-	for p := range e.live {
-		e.Kill(p)
+	e.queue, e.events, e.free = nil, nil, -1
+	for p := e.first; p != nil; p = p.next {
+		if !p.done {
+			e.Kill(p)
+		}
 	}
 }
 
@@ -438,6 +529,21 @@ type Chan[T any] struct {
 // the arguments, so call sites name it: NewChan[*Message](env).
 func NewChan[T any](e *Env) *Chan[T] { return &Chan[T]{env: e} }
 
+// NewChans returns n channels on e held by value in one slice, for a caller
+// with a channel per endpoint (internal/vnet's inboxes). Readying them costs
+// a constant number of allocations: each channel starts with room for one
+// buffered message and one waiter, carved from arrays the n channels share,
+// and moves to an array of its own only when it outgrows that room.
+func NewChans[T any](e *Env, n int) []Chan[T] {
+	cs := make([]Chan[T], n)
+	buf := make([]T, n)
+	waiters := make([]*Proc, n)
+	for i := range cs {
+		cs[i] = Chan[T]{env: e, buf: buf[i : i : i+1], waiters: waiters[i : i : i+1]}
+	}
+	return cs
+}
+
 // Len returns the number of buffered messages.
 func (c *Chan[T]) Len() int { return len(c.buf) - c.head }
 
@@ -450,7 +556,7 @@ func (c *Chan[T]) SendAfter(d float64, v T) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %g", d))
 	}
-	c.env.scheduleDeliver(d, c, c.stage(v))
+	c.env.ScheduleCall(d, (*chanStage[T])(c), c.stage(v))
 }
 
 // stage parks v in the arena and returns its slot.
@@ -465,9 +571,14 @@ func (c *Chan[T]) stage(v T) int32 {
 	return int32(len(c.staged) - 1)
 }
 
-// deliverSlot (deliverTarget) completes a SendAfter: it frees the slot and
-// delivers its payload.
-func (c *Chan[T]) deliverSlot(slot int32) {
+// chanStage is a Chan seen as the Target of its own SendAfter events. It is
+// a conversion of the channel pointer, not a separate object, so the
+// channel's exported method set carries no kernel hook.
+type chanStage[T any] Chan[T]
+
+// Fire completes a SendAfter: it frees the slot and delivers its payload.
+func (s *chanStage[T]) Fire(slot int32) {
+	c := (*Chan[T])(s)
 	v := c.staged[slot]
 	var zero T
 	c.staged[slot] = zero // drop the reference held by the vacated slot

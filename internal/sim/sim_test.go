@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -304,4 +306,110 @@ func TestProcNameAndEnvAccessors(t *testing.T) {
 		}
 	})
 	e.Run()
+}
+
+// callLog is a Target recording when each call fired and with which arg.
+type callLog struct {
+	env   *Env
+	fired []string
+}
+
+func (l *callLog) Fire(arg int32) {
+	l.fired = append(l.fired, fmt.Sprintf("%d@%g", arg, l.env.Now()))
+}
+
+func TestScheduleCallFiresInTimeThenScheduleOrder(t *testing.T) {
+	e := New()
+	e.Grow(8)
+	l := &callLog{env: e}
+	e.ScheduleCall(2, l, 7)
+	e.ScheduleCall(1, l, 3)
+	e.ScheduleCall(1, l, 4) // same time: schedule order breaks the tie
+	e.Schedule(1.5, func() { e.ScheduleCall(0, l, 9) })
+	if e.Pending() != 4 {
+		t.Fatalf("pending = %d, want 4", e.Pending())
+	}
+	e.Run()
+	if got := fmt.Sprint(l.fired); got != "[3@1 4@1 9@1.5 7@2]" {
+		t.Errorf("fired %s", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("negative delay accepted")
+		}
+	}()
+	e.ScheduleCall(-1, l, 0)
+}
+
+func TestSpawnSharesBodyAndNamesLazily(t *testing.T) {
+	e := New()
+	named := 0
+	name := func(id int) string {
+		named++
+		return fmt.Sprintf("node-%d", id)
+	}
+	var ran []int
+	body := func(p *Proc) {
+		p.Wait(float64(p.ID()))
+		ran = append(ran, p.ID())
+	}
+	procs := []*Proc{e.Spawn(2, body, name), e.Spawn(0, body, name), e.Spawn(1, body, name)}
+	e.Run()
+	if fmt.Sprint(ran) != "[0 1 2]" || named != 0 {
+		t.Fatalf("ran %v with %d names formatted, want [0 1 2] and none", ran, named)
+	}
+	if got := procs[0].Name(); got != "node-2" || named != 1 {
+		t.Errorf("Name() = %q after %d formats, want node-2 after 1", got, named)
+	}
+	if got := e.Process("plain", func(*Proc) {}).Name(); got != "plain" {
+		t.Errorf("Process name = %q", got)
+	}
+
+	// A panic report formats the spawned process's name.
+	bad := New()
+	bad.Spawn(5, func(p *Proc) { panic("boom") }, name)
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		bad.Run()
+		return ""
+	}()
+	if !strings.HasPrefix(msg, `sim: process "node-5" panicked: boom`) {
+		t.Errorf("panic = %q", msg)
+	}
+}
+
+// TestNewChansOutgrowTheirShare drives channels past the one message and
+// one waiter each starts with: a channel that outgrows its share of the
+// common arrays must not write into its neighbours'.
+func TestNewChansOutgrowTheirShare(t *testing.T) {
+	e := New()
+	cs := NewChans[int](e, 3)
+	var got [3][]int
+	for i := range cs {
+		for w := 0; w < 2; w++ { // two waiters on every channel
+			e.Process("recv", func(p *Proc) {
+				for range 2 {
+					got[i] = append(got[i], cs[i].Recv(p))
+				}
+			})
+		}
+	}
+	e.Process("send", func(p *Proc) {
+		for k := 0; k < 4; k++ { // four buffered before any receiver runs
+			for i := range cs {
+				cs[i].Send(10*i + k)
+			}
+		}
+		p.Wait(1)
+		cs[1].SendAfter(1, 99)
+	})
+	e.Run()
+	for i, want := range []string{"[0 1 2 3]", "[10 11 12 13]", "[20 21 22 23]"} {
+		if s := fmt.Sprint(got[i]); s != want {
+			t.Errorf("channel %d delivered %s, want %s", i, s, want)
+		}
+	}
+	if cs[1].Len() != 1 || cs[0].Len() != 0 || cs[2].Len() != 0 {
+		t.Errorf("buffered %d/%d/%d, want 0/1/0", cs[0].Len(), cs[1].Len(), cs[2].Len())
+	}
 }

@@ -87,7 +87,7 @@ type Network struct {
 	// inbox channels are typed on the envelope: Message itself is the
 	// heterogeneity shim (its Payload field is `any`), so the kernel moves
 	// only *Message pointers and never boxes.
-	inbox []*sim.Chan[*Message]
+	inbox []sim.Chan[*Message]
 	// pending holds messages pulled from the inbox while looking for a
 	// match (RecvMatch).
 	pending [][]*Message
@@ -99,6 +99,16 @@ type Network struct {
 	rng           *rand.Rand
 	faults        *faultState
 	bound         []*sim.Proc
+
+	// slab is the chunk Messages are taken from (see newMessage).
+	slab []Message
+	// flights is the in-flight arena: one slot per message between its
+	// send and its delivery, addressed by the events that move it (see
+	// deliveries), with room for one per endpoint before it grows. free
+	// heads the list of vacant slots, chained through flight.next; -1 when
+	// empty.
+	flights []flight
+	free    int32
 
 	// Counters (observable after a run). Lost counts permanently lost
 	// messages (retries exhausted, or addressed to a crashed node);
@@ -118,12 +128,14 @@ func New(env *sim.Env, n int, link func(from, to int) plogp.Params, cfg Config) 
 	nw := &Network{
 		env:           env,
 		link:          link,
-		inbox:         make([]*sim.Chan[*Message], n),
+		inbox:         sim.NewChans[*Message](env, n),
 		pending:       make([][]*Message, n),
 		lastDelivered: make([]float64, n),
 		cfg:           cfg,
 		faults:        newFaultState(cfg.Faults, n),
 		bound:         make([]*sim.Proc, n),
+		flights:       make([]flight, 0, n),
+		free:          -1,
 	}
 	if cfg.Jitter < 0 || cfg.Jitter >= 1 {
 		if cfg.Jitter != 0 {
@@ -135,9 +147,6 @@ func New(env *sim.Env, n int, link func(from, to int) plogp.Params, cfg Config) 
 	}
 	if cfg.Jitter > 0 {
 		nw.rng = rand.New(rand.NewSource(cfg.Seed))
-	}
-	for i := range nw.inbox {
-		nw.inbox[i] = sim.NewChan[*Message](env)
 	}
 	if cfg.Faults != nil {
 		for _, cr := range cfg.Faults.Crashes {
@@ -182,7 +191,8 @@ func (nw *Network) SendSeg(p *sim.Proc, from, to int, size int64, seg, tag int, 
 		panic("vnet: self-send")
 	}
 	params := nw.link(from, to)
-	msg := &Message{From: from, To: to, Size: size, Tag: tag, Seg: seg, Payload: payload, SentAt: p.Now()}
+	msg := nw.newMessage()
+	*msg = Message{From: from, To: to, Size: size, Tag: tag, Seg: seg, Payload: payload, SentAt: p.Now()}
 	// Fault evaluation keys on the send time, so a scenario's behaviour is
 	// a pure function of the fault plan and the traffic pattern.
 	gapScale, latScale := nw.faults.scales(from, to, p.Now())
@@ -205,27 +215,94 @@ func (nw *Network) SendSeg(p *sim.Proc, from, to int, size int64, seg, tag int, 
 		extra += nw.cfg.Faults.backoff(a)
 	}
 	nw.Redelivered += int64(lost)
+	slot := nw.takeFlight(flight{msg: msg, gap: params.Gap(size) * gapScale})
+	nw.env.ScheduleCall(extra+lat+recvOv, (*deliveries)(nw), slot)
+}
+
+// maxSlabChunk caps the Message slab's chunks. The first chunk holds one
+// message per endpoint (a whole-message broadcast sends n-1) and each next
+// one doubles up to the cap, so small executions stay small and long
+// segment streams allocate a few chunks, not one object per message.
+const maxSlabChunk = 4096
+
+// newMessage returns the next unused Message of the network's slab.
+// Messages live as long as their network — a receiver keeps the pointer it
+// is handed, so a Message is never reused — and chunks are reclaimed with
+// the last message that points into them.
+func (nw *Network) newMessage() *Message {
+	if len(nw.slab) == cap(nw.slab) {
+		nw.slab = make([]Message, 0, min(max(2*cap(nw.slab), len(nw.inbox)), maxSlabChunk))
+	}
+	nw.slab = nw.slab[:len(nw.slab)+1]
+	return &nw.slab[len(nw.slab)-1]
+}
+
+// flight is one message between SendSeg and its delivery. Its slot is the
+// argument of two events: the arrival at the receiver's NIC, then the
+// delivery into the inbox once the NIC's receive spacing has elapsed.
+type flight struct {
+	msg *Message
+	// gap is the receive-side spacing g(m) the message imposes on the
+	// receiving NIC (degradation-scaled, not jittered).
+	gap float64
+	// arrived marks a slot whose arrival event has run: its next event is
+	// the delivery.
+	arrived bool
+	next    int32 // free-list link while the slot is vacant
+}
+
+// takeFlight parks f in a vacant slot of the in-flight arena.
+func (nw *Network) takeFlight(f flight) int32 {
+	if s := nw.free; s >= 0 {
+		nw.free = nw.flights[s].next
+		nw.flights[s] = f
+		return s
+	}
+	nw.flights = append(nw.flights, f)
+	return int32(len(nw.flights) - 1)
+}
+
+// releaseFlight vacates slot s.
+func (nw *Network) releaseFlight(s int32) {
+	nw.flights[s] = flight{next: nw.free}
+	nw.free = s
+}
+
+// deliveries is the Network seen as the sim.Target of its in-flight
+// messages' events: a conversion of the network pointer, so the Network's
+// exported method set carries no kernel hook and scheduling a message
+// allocates nothing.
+type deliveries Network
+
+// Fire runs slot's next event. On arrival it drops the message if the
+// receiver has crashed, else enforces the minimum spacing between
+// consecutive deliveries at the receiving NIC and schedules the delivery;
+// on delivery it stamps ArrivedAt and hands the message to the inbox.
+func (d *deliveries) Fire(slot int32) {
+	nw := (*Network)(d)
 	env := nw.env
-	inbox := nw.inbox[to]
-	gap := params.Gap(size) * gapScale
-	env.Schedule(extra+lat+recvOv, func() {
-		if nw.faults.crashed[to] {
-			// The receiver died before the payload landed.
-			nw.Lost++
-			return
-		}
-		// Enforce the minimum spacing between consecutive deliveries at
-		// the receiving NIC.
-		wait := nw.lastDelivered[to] + gap - env.Now()
-		if wait < 0 {
-			wait = 0
-		}
-		nw.lastDelivered[to] = env.Now() + wait
-		env.Schedule(wait, func() {
-			msg.ArrivedAt = env.Now()
-			inbox.Send(msg)
-		})
-	})
+	f := &nw.flights[slot]
+	to := f.msg.To
+	if f.arrived {
+		msg := f.msg
+		nw.releaseFlight(slot)
+		msg.ArrivedAt = env.Now()
+		nw.inbox[to].Send(msg)
+		return
+	}
+	if nw.faults.crashed[to] {
+		// The receiver died before the payload landed.
+		nw.Lost++
+		nw.releaseFlight(slot)
+		return
+	}
+	wait := nw.lastDelivered[to] + f.gap - env.Now()
+	if wait < 0 {
+		wait = 0
+	}
+	nw.lastDelivered[to] = env.Now() + wait
+	f.arrived = true
+	env.ScheduleCall(wait, d, slot)
 }
 
 // Recv blocks until any message addressed to node arrives (FIFO across the
