@@ -219,6 +219,32 @@ func BenchmarkLargeGrid(b *testing.B) {
 	}
 }
 
+// BenchmarkEdgeCosts measures costing a message size the platform has not
+// seen, on the daemon's random:7:128 platform: "full" derives G, W and WT
+// (what an unsegmented ECEF-family build reads), "g-only" G alone (what a
+// ladder rung reads at its segment size). Every op costs a new size, so the
+// store's byte budget evicts as the run goes on, as a stream of distinct
+// request sizes would.
+func BenchmarkEdgeCosts(b *testing.B) {
+	g := topology.RandomGrid(stats.NewRand(7), 128)
+	m := int64(1 << 20)
+	for _, full := range []bool{true, false} {
+		name := "g-only"
+		if full {
+			name = "full"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m++
+				ec := g.EdgeCosts(m)
+				if full {
+					ec.WT()
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEngineVsReference compares the incremental engine against the
 // retained naive pickers at 128 clusters; the `engine` and `reference`
 // sub-benchmarks are the before/after pair tracked by the perf trajectory.

@@ -76,6 +76,10 @@ type (
 	// degradation, message loss, node crashes) injected through
 	// NetConfig.Faults.
 	FaultPlan = vnet.FaultPlan
+	// CostStats describes a platform's cost store, the byte-bounded cache
+	// of pLogP matrices evaluated per message size: resident Bytes, the
+	// Sizes resident, and the sizes Evicted so far.
+	CostStats = topology.CostStats
 )
 
 // Grid5000 returns the paper's 88-machine, 6-cluster GRID5000 platform

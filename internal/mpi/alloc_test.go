@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"math"
 	"testing"
 
 	"gridbcast/internal/sched"
@@ -47,5 +48,31 @@ func TestJitteredExecutionAllocBudget(t *testing.T) {
 	t.Logf("allocs per execution: %v", n)
 	if n > 80 {
 		t.Errorf("jittered execution allocates %v objects, budget 80", n)
+	}
+}
+
+// TestIdleFaultPlanAllocBudget pins that arming receive deadlines costs
+// no allocation per receive: a GRID5000 execution under a Degrade plan
+// that never fires (it starts long after the broadcast ends) allocates
+// within a small constant of the same execution with no plan.
+func TestIdleFaultPlanAllocBudget(t *testing.T) {
+	g := topology.Grid5000()
+	sc := sched.ECEFLAT().Schedule(sched.MustProblem(g, 0, 1<<20, sched.Options{}))
+	idle := &vnet.FaultPlan{Degrade: []vnet.Degrade{{From: 0, To: 1, After: 1e6, GapScale: 2}}}
+	allocs := func(net vnet.Config) float64 {
+		return testing.AllocsPerRun(20, func() {
+			res, err := ExecuteSchedule(g, sc, 1<<20, Options{Net: net})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Reparents != 0 || math.Abs(res.Makespan-sc.Makespan) > 1e-9 {
+				t.Fatalf("the idle plan acted: makespan %v (predicted %v), %d reparents", res.Makespan, sc.Makespan, res.Reparents)
+			}
+		})
+	}
+	plain, armed := allocs(vnet.Config{}), allocs(vnet.Config{Faults: idle})
+	t.Logf("allocs per execution: no plan %v, idle Degrade plan %v", plain, armed)
+	if armed-plain > 8 {
+		t.Errorf("an idle fault plan adds %v allocations per execution, budget 8", armed-plain)
 	}
 }

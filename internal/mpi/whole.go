@@ -61,6 +61,18 @@ type wholeExec struct {
 	// membership/monitoring view orphans consult to pick a new parent.
 	holder   []bool
 	localGot [][]bool
+	// repairs[id] is the retransmission repair process id performs;
+	// repairBody and repairName, the Spawn arguments every repair shares,
+	// are set by the first repair.
+	repairs    []repairJob
+	repairBody func(p *sim.Proc)
+	repairName func(id int) string
+}
+
+// repairJob is one retransmission: the message from endpoint from to
+// endpoint to, under tag.
+type repairJob struct {
+	from, to, tag int
 }
 
 func newWholeExec(w *world, sc *sched.Schedule, sends [][]int, m int64, opt Options) *wholeExec {
@@ -232,9 +244,23 @@ func (ex *wholeExec) bestLocalHolder(c, r int) int {
 // transient process (the out-of-band recovery channel; see the file comment).
 func (ex *wholeExec) repair(from, to, tag int) {
 	ex.res.Reparents++
-	ex.env.Process(fmt.Sprintf("repair-%d-%d", from, to), func(rp *sim.Proc) {
-		ex.nw.Send(rp, from, to, ex.m, tag, nil)
-	})
+	if ex.repairBody == nil {
+		ex.repairBody, ex.repairName = ex.runRepair, ex.nameRepair
+	}
+	ex.repairs = append(ex.repairs, repairJob{from, to, tag})
+	ex.env.Spawn(len(ex.repairs)-1, ex.repairBody, ex.repairName)
+}
+
+// runRepair is the program of repair process rp.ID().
+func (ex *wholeExec) runRepair(rp *sim.Proc) {
+	j := ex.repairs[rp.ID()]
+	ex.nw.Send(rp, j.from, j.to, ex.m, j.tag, nil)
+}
+
+// nameRepair names repair process id repair-<from>-<to>.
+func (ex *wholeExec) nameRepair(id int) string {
+	j := ex.repairs[id]
+	return fmt.Sprintf("repair-%d-%d", j.from, j.to)
 }
 
 // finish fills the per-cluster completion report after the run.

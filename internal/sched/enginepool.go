@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"sync"
+	"unsafe"
 )
 
 // EnginePool is the one place that readies the incremental engines: every
@@ -71,25 +72,44 @@ type EnginePool struct {
 	laShared  []bool
 	inA       []bool // scratch membership vector ({root} at engine init)
 
-	templates map[laTemplateKey]*laTemplate
-	segTrans  map[*float64]*transposed
-	segClock  uint64
+	// templates and segTrans are the pool's two caches, bounded together
+	// by poolBudget: every entry is linked into one recency list (lru is
+	// its sentinel; lru.next the most recently used) and cacheBytes sums
+	// their sizes.
+	templates  map[laTemplateKey]*cached
+	segTrans   map[*float64]*cached
+	lru        cached
+	cacheBytes int64
 }
 
-// transposed is a cached transpose of one segmented cost matrix (a Gs or
-// a Wl), keyed in EnginePool.segTrans by the matrix's identity: the
-// matrices alias the grid's per-message-size EdgeCosts cache and are
-// immutable, and holding the pointer pins them, so a key is never recycled
-// for different values (same argument as laTemplateKey). Entries are
-// shared read-only by every engine the pool readies.
-type transposed struct {
-	t    [][]float64
-	used uint64 // segClock at the last use, for least-recently-used eviction
+// poolBudget bounds the bytes an EnginePool's caches hold: lookahead
+// templates (N·(N−1)·16 B each) and segmented transposes (N²·8 B each).
+// It holds the full default ladder at N = 512 (24 transposes and 3
+// templates, about 63 MB) and about 500 templates at N = 128. Each entry pins
+// at most one cost matrix of its own size, so what the caches keep alive
+// of evicted cost-store entries is bounded by the same figure. Eviction
+// only drops the cache's reference: an engine holding an evicted entry
+// keeps it until it is done.
+const poolBudget = 128 << 20
+
+// cached is one entry of the pool's caches: a lookahead template under
+// tkey, or the transpose tr of one segmented cost matrix (a Gs or a Wl)
+// under mkey, the matrix's identity. The matrices alias the grid's cost
+// store and are immutable, and holding the pointer pins them, so a key is
+// never recycled for different values (same argument as laTemplateKey).
+// Entries are shared read-only by every engine the pool readies.
+type cached struct {
+	prev, next *cached
+	bytes      int64
+	tkey       laTemplateKey
+	tpl        *laTemplate
+	mkey       *float64
+	tr         [][]float64
 }
 
 // laTemplateKey identifies a cached lookahead template: the full-message W
 // matrix (by identity — the matrix is immutable and shared via the grid's
-// EdgeCosts cache, and holding the pointer pins it, so the key cannot be
+// cost store, and holding the pointer pins it, so the key cannot be
 // recycled for different values), the lookahead kind, and whether the T
 // vector is the end-to-end pipeline's TL (whose values also depend on the
 // segmentation, so the exact T-vector guard still applies within a key —
@@ -111,10 +131,12 @@ type laTemplate struct {
 
 // NewEnginePool returns an empty pool.
 func NewEnginePool() *EnginePool {
-	return &EnginePool{
-		templates: map[laTemplateKey]*laTemplate{},
-		segTrans:  map[*float64]*transposed{},
+	ep := &EnginePool{
+		templates: map[laTemplateKey]*cached{},
+		segTrans:  map[*float64]*cached{},
 	}
+	ep.lru.prev, ep.lru.next = &ep.lru, &ep.lru
+	return ep
 }
 
 // pools recycles EnginePools for the builds that carry no pool of their
@@ -378,51 +400,40 @@ func (ep *EnginePool) ensureSeg(sp *SegmentedProblem) {
 // the n×n segmented cost matrix m. Keys are single matrices, not (Gs, Wl)
 // pairs: a ladder's power-of-two segment sizes share their Gs across
 // messages of every size, while each message size brings its own
-// remainder Wl. The cache holds maxTemplates matrices and evicts the least
-// recently used one, recycling its storage when the dimension matches —
-// throwaway Monte-Carlo platforms must not pin an unbounded set of cost
-// matrices.
+// remainder Wl.
 func (ep *EnginePool) transposeOf(m [][]float64, n int) [][]float64 {
-	ep.segClock++
 	key := &m[0][0]
-	if tr := ep.segTrans[key]; tr != nil && len(tr.t) == n {
-		tr.used = ep.segClock
-		return tr.t
+	if e := ep.segTrans[key]; e != nil && len(e.tr) == n {
+		ep.use(e)
+		return e.tr
+	} else if e != nil {
+		ep.drop(e)
 	}
-	tr := &transposed{}
-	if len(ep.segTrans) >= maxTemplates {
-		var old *float64
-		for k, e := range ep.segTrans {
-			if old == nil || e.used < tr.used {
-				old, tr = k, e
-			}
-		}
-		delete(ep.segTrans, old)
-	}
-	tr.t = transpose(tr.t, m, n)
-	tr.used = ep.segClock
-	ep.segTrans[key] = tr
-	return tr.t
+	e := &cached{mkey: key, bytes: int64(n)*int64(n)*8 + int64(n)*24}
+	ep.evict(e.bytes)
+	e.tr = transpose(nil, m, n)
+	ep.segTrans[key] = e
+	ep.admit(e)
+	return e.tr
 }
-
-// maxTemplates bounds the template cache. Sweeps over one platform use a
-// handful of keys; Monte-Carlo streams of throwaway platforms would grow the
-// cache (and pin every W matrix) without this cap, so on overflow the cache
-// is simply dropped — correctness never depends on a hit.
-const maxTemplates = 32
 
 // template returns (building and caching on demand) the root-independent
 // lookahead template for h's kind on p's platform.
 func (ep *EnginePool) template(h ecef, p *Problem, local bool) *laTemplate {
 	key := laTemplateKey{w: &p.W[0][0], kind: h.kind, local: local}
-	if tpl := ep.templates[key]; tpl != nil && tpl.n == p.N &&
-		(h.kind == laMinW || floatsEqual(tpl.t, p.T)) {
-		return tpl
-	}
-	if len(ep.templates) >= maxTemplates {
-		ep.templates = map[laTemplateKey]*laTemplate{}
+	if e := ep.templates[key]; e != nil {
+		if tpl := e.tpl; tpl.n == p.N && (h.kind == laMinW || floatsEqual(tpl.t, p.T)) {
+			ep.use(e)
+			return tpl
+		}
+		ep.drop(e)
 	}
 	n := p.N
+	bytes := int64(n)*int64(n-1)*int64(unsafe.Sizeof(laEntry{})) + int64(n+1)*8
+	if h.kind != laMinW {
+		bytes += int64(n) * 8
+	}
+	ep.evict(bytes)
 	tpl := &laTemplate{n: n, off: make([]int, n+1), backing: make([]laEntry, 0, n*(n-1))}
 	if h.kind != laMinW {
 		tpl.t = append([]float64(nil), p.T...)
@@ -434,8 +445,49 @@ func (ep *EnginePool) template(h ecef, p *Problem, local bool) *laTemplate {
 		hp.heapify()
 	}
 	tpl.off[n] = len(tpl.backing)
-	ep.templates[key] = tpl
+	e := &cached{tkey: key, tpl: tpl, bytes: bytes}
+	ep.templates[key] = e
+	ep.admit(e)
 	return tpl
+}
+
+// use moves e to the front of the recency list.
+func (ep *EnginePool) use(e *cached) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	ep.link(e)
+}
+
+// admit counts a new entry and links it in as the most recently used.
+func (ep *EnginePool) admit(e *cached) {
+	ep.cacheBytes += e.bytes
+	ep.link(e)
+}
+
+// link puts an unlinked e at the front of the recency list.
+func (ep *EnginePool) link(e *cached) {
+	e.prev, e.next = &ep.lru, ep.lru.next
+	e.next.prev, ep.lru.next = e, e
+}
+
+// drop removes e from its cache and the recency list.
+func (ep *EnginePool) drop(e *cached) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+	ep.cacheBytes -= e.bytes
+	if e.tpl != nil {
+		delete(ep.templates, e.tkey)
+	} else {
+		delete(ep.segTrans, e.mkey)
+	}
+}
+
+// evict drops least recently used entries until need more bytes fit
+// poolBudget, or the caches are empty: an entry larger than the budget is
+// still admitted, alone, so the entry just built is never the one evicted.
+func (ep *EnginePool) evict(need int64) {
+	for ep.cacheBytes+need > poolBudget && ep.lru.prev != &ep.lru {
+		ep.drop(ep.lru.prev)
+	}
 }
 
 // floatsEqual reports exact element-wise equality.

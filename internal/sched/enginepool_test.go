@@ -161,3 +161,33 @@ func TestPooledScheduleParallelCallers(t *testing.T) {
 		t.Error(e)
 	}
 }
+
+// TestEnginePoolCachesBoundedByBytes builds ECEF-LA schedules at 40
+// distinct sizes on a 512-cluster platform: each size brings a new W, so a
+// new 4 MB lookahead template, and the pool's caches must stay within
+// poolBudget while the schedules stay identical to a fresh pool's.
+func TestEnginePoolCachesBoundedByBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("512-cluster builds")
+	}
+	g := topology.RandomSizedGrid(stats.NewRand(3), 512)
+	ep := NewEnginePool()
+	h := ECEFLA()
+	for k := 0; k < 40; k++ {
+		p := MustProblem(g, k%g.N(), int64(1<<20+k*4096), Options{})
+		got := ep.Schedule(h, p)
+		if ep.cacheBytes > poolBudget {
+			t.Fatalf("size %d: pool caches hold %d bytes, budget %d", k, ep.cacheBytes, poolBudget)
+		}
+		if k%13 == 0 {
+			assertIdentical(t, h.Name(), got, NewEnginePool().Schedule(h, p))
+		}
+	}
+	var sum int64
+	for _, e := range ep.templates {
+		sum += e.bytes
+	}
+	if sum != ep.cacheBytes || len(ep.templates) >= 40 {
+		t.Errorf("%d templates of %d bytes resident, counted %d", len(ep.templates), sum, ep.cacheBytes)
+	}
+}

@@ -37,24 +37,27 @@ type Problem struct {
 	// G[i][j] = g_{i,j}(m), L[i][j] = latency, W[i][j] = G + L.
 	//
 	// The matrices are READ-ONLY: they alias the grid's per-message-size
-	// EdgeCosts cache and are shared by every Problem built from the same
-	// grid at the same size. Perturbation studies must perturb the grid
-	// (before its first costing) and build a fresh Problem, not write to
-	// these slices.
+	// cost store (topology.EdgeCosts) and are shared by every Problem built
+	// from the same grid at the same size. Perturbation studies must
+	// perturb the grid (before its first costing) and build a fresh
+	// Problem, not write to these slices.
 	G, L, W [][]float64
 	// T[i] is the intra-cluster broadcast time of cluster i.
 	T []float64
 
-	// wt is W transposed (wt[j][i] = W[i][j]), built by NewProblem so the
-	// incremental engine's per-receiver scans run over contiguous rows.
-	wt [][]float64
+	// costs is the cost-store entry G, L and W came from (nil for Problems
+	// built outside NewProblem). It serves W transposed, derived the first
+	// time an engine asks for it, so FlatTree and FEF builds never pay for
+	// it.
+	costs *topology.EdgeCosts
 }
 
-// transposedW returns W column-major; Problems built outside NewProblem
-// (tests) get a fresh transpose.
+// transposedW returns W column-major (wt[j][i] = W[i][j]), so the
+// incremental engine's per-receiver scans run over contiguous rows;
+// Problems built outside NewProblem (tests) get a fresh transpose.
 func (p *Problem) transposedW() [][]float64 {
-	if p.wt != nil {
-		return p.wt
+	if p.costs != nil {
+		return p.costs.WT()
 	}
 	return transpose(nil, p.W, p.N)
 }
@@ -114,9 +117,9 @@ func NewProblem(g *topology.Grid, root int, m int64, opt Options) (*Problem, err
 		MsgSize: m,
 		G:       ec.G,
 		L:       ec.L,
-		W:       ec.W,
+		W:       ec.W(),
 		T:       make([]float64, n),
-		wt:      ec.WT,
+		costs:   ec,
 	}
 	for i := 0; i < n; i++ {
 		c := g.Clusters[i]

@@ -16,7 +16,7 @@ package sched
 // Three layers mirror the unsegmented engine:
 //
 //   - SegmentedProblem extends Problem with the per-segment gap matrices,
-//     served by the grid's per-message-size EdgeCosts cache (one entry for
+//     served by the grid's per-message-size cost store (one entry for
 //     SegSize, one for the remainder segment).
 //   - EvaluateSegmented is the exact evaluator: it replays an explicit
 //     (sender, receiver) sequence segment by segment, tracking when every
@@ -151,13 +151,16 @@ func NewSegmentedProblem(g *topology.Grid, root int, m, segSize int64, opt Optio
 		sp.Gs, sp.Gl, sp.Wl = p.G, p.G, p.W
 		return sp, nil
 	}
+	// The rungs read only g at the segment size and g and W at the last
+	// segment's size; the segmented engines transpose what they scan
+	// themselves (EnginePool.transposeOf), so no WT is derived here.
 	ecs := g.EdgeCosts(segSize)
 	sp.Gs = ecs.G
 	if last == segSize {
-		sp.Gl, sp.Wl = ecs.G, ecs.W
+		sp.Gl, sp.Wl = ecs.G, ecs.W()
 	} else {
 		ecl := g.EdgeCosts(last)
-		sp.Gl, sp.Wl = ecl.G, ecl.W
+		sp.Gl, sp.Wl = ecl.G, ecl.W()
 	}
 	if opt.SegmentedLocal {
 		sp.segmentLocal(g, opt)

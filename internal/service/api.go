@@ -227,6 +227,15 @@ type PlatformInfo struct {
 	Clusters    int            `json:"clusters"`
 	Nodes       int            `json:"nodes"`
 	Cache       CacheStatsJSON `json:"cache"`
+	Costs       CostStatsJSON  `json:"costs"`
+}
+
+// CostStatsJSON exports a platform's cost store: resident bytes, resident
+// message sizes and sizes evicted by the store's byte budget.
+type CostStatsJSON struct {
+	Bytes   int64 `json:"bytes"`
+	Sizes   int   `json:"sizes"`
+	Evicted int64 `json:"evicted"`
 }
 
 // CacheStatsJSON exports a session's plan-cache counters with the derived
@@ -261,6 +270,7 @@ func platformInfo(p *Platform) PlatformInfo {
 		Clusters:    g.N(),
 		Nodes:       g.TotalNodes(),
 		Cache:       cacheStatsJSON(p.Session.CacheStats()),
+		Costs:       CostStatsJSON(p.Session.CostStats()),
 	}
 }
 

@@ -37,14 +37,16 @@ func ParsePlatformSpec(s string) (PlatformSpec, error) {
 	return PlatformSpec{Name: name, Source: source}, nil
 }
 
-// MaxRandomClusters caps n in a "random:<seed>:<n>" source. A random grid
-// holds n² pLogP entries and every plan costs O(n²) matrices, so an
-// unbounded n in a registry spec or reload could exhaust memory.
-const MaxRandomClusters = 4096
+// MaxClusters caps the clusters of every platform source. A grid holds n²
+// pLogP entries and every plan costs O(n²) matrices, so an unbounded n in a
+// registry spec, a platform file or a reload could exhaust memory. File
+// sources are refused by their readers (topology.MaxClusters) before their
+// link tables are built.
+const MaxClusters = topology.MaxClusters
 
-// LoadGridSource resolves a platform source string to a validated grid.
-// File-backed sources re-read the file on every call, which is what makes
-// Registry.Reload pick up re-measured fits.
+// LoadGridSource resolves a platform source string to a validated grid of
+// at most MaxClusters clusters. File-backed sources re-read the file on
+// every call, which is what makes Registry.Reload pick up re-measured fits.
 func LoadGridSource(source string) (*gridbcast.Grid, error) {
 	switch {
 	case strings.EqualFold(source, "grid5000"):
@@ -59,8 +61,8 @@ func LoadGridSource(source string) (*gridbcast.Grid, error) {
 		if err1 != nil || err2 != nil || n < 1 {
 			return nil, fmt.Errorf("service: source %q: bad seed or cluster count", source)
 		}
-		if n > MaxRandomClusters {
-			return nil, fmt.Errorf("service: source %q: %d clusters exceeds the limit of %d", source, n, MaxRandomClusters)
+		if n > MaxClusters {
+			return nil, fmt.Errorf("service: source %q: %d clusters exceeds the limit of %d", source, n, MaxClusters)
 		}
 		return gridbcast.RandomGrid(seed, n), nil
 	case strings.HasSuffix(source, ".fits"):
@@ -140,8 +142,9 @@ func (r *Registry) load(gen uint64) (*table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: platform %q: %w", sp.Name, err)
 		}
-		// Warm the session: the fingerprint digest (O(n²)) and the default-
-		// size edge costs are paid here, not by the first request.
+		// Warm the session: the fingerprint digest (O(n²)) that prefixes
+		// every plan-cache key is paid here, not by the first request. Edge
+		// costs are not: each size is costed by the first plan that reads it.
 		sess.Fingerprint()
 		t.platforms[sp.Name] = &Platform{
 			Name: sp.Name, Source: sp.Source, Generation: gen, Session: sess,

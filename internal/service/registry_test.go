@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,6 +68,30 @@ func TestLoadGridSource(t *testing.T) {
 	}
 	if got, want := g.Fingerprint(), gridbcast.Grid5000().Fingerprint(); got != want {
 		t.Fatalf("fits round-trip fingerprint %x, want %x", got, want)
+	}
+
+	// Oversized platform files are refused by the cluster limit itself,
+	// before their (absent) link tables are needed.
+	var js, fs strings.Builder
+	js.WriteString(`{"clusters":[`)
+	fs.WriteString("fits v1\n")
+	for i := 0; i <= MaxClusters; i++ {
+		if i > 0 {
+			js.WriteString(",")
+		}
+		js.WriteString(`{"name":"c","nodes":1,"bcast_time":1}`)
+		fmt.Fprintf(&fs, "cluster %d \"c\" 1 1\n", i)
+	}
+	js.WriteString(`],"inter":[]}`)
+	for name, body := range map[string]string{"big.json": js.String(), "big.fits": fs.String()} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadGridSource(path)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("limit of %d", MaxClusters)) {
+			t.Errorf("LoadGridSource(%s) with %d clusters: %v, want the cluster limit", name, MaxClusters+1, err)
+		}
 	}
 }
 

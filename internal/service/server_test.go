@@ -293,6 +293,10 @@ func TestServeIntrospection(t *testing.T) {
 	if g5k.Cache.Hits != 2 || g5k.Cache.Misses != 1 || g5k.Cache.HitRate < 0.6 {
 		t.Errorf("cache stats %+v, want 2 hits / 1 miss", g5k.Cache)
 	}
+	// The one ECEF-LAT build derived G, W and WT at 1 MiB on 6 clusters.
+	if want := (CostStatsJSON{Bytes: 3 * (6*6*8 + 6*24), Sizes: 1}); g5k.Costs != want {
+		t.Errorf("cost stats %+v, want %+v", g5k.Costs, want)
+	}
 
 	var health HealthResponse
 	get(t, s, "/healthz", &health)
@@ -304,6 +308,9 @@ func TestServeIntrospection(t *testing.T) {
 	get(t, s, "/metrics", &m)
 	if m.Requests.Total != 3 || m.Requests.OK != 3 || m.InflightLimit != 4 || m.Inflight != 0 {
 		t.Errorf("metrics counters %+v inflight %d/%d", m.Requests, m.Inflight, m.InflightLimit)
+	}
+	if len(m.Platforms) != 2 || m.Platforms[0].Costs != g5k.Costs {
+		t.Errorf("/metrics platforms %+v, want g5k's cost stats %+v", m.Platforms, g5k.Costs)
 	}
 	series := map[string]uint64{}
 	for _, sn := range m.PlanLatencies {

@@ -144,11 +144,15 @@ type Env struct {
 	first, last *Proc
 	live        int
 	slab        []Proc
+	// timeouts is the arena of armed RecvUntil deadlines; freeTimeout
+	// heads its list of vacant slots (-1: none).
+	timeouts    []timeout
+	freeTimeout int32
 }
 
 // New creates an empty environment at virtual time 0.
 func New() *Env {
-	return &Env{free: -1}
+	return &Env{free: -1, freeTimeout: -1}
 }
 
 // Now returns the current virtual time in seconds.
@@ -491,6 +495,7 @@ func (e *Env) Kill(p *Proc) {
 // can be inspected afterwards but not reused.
 func (e *Env) Shutdown() {
 	e.queue, e.events, e.free = nil, nil, -1
+	e.timeouts, e.freeTimeout = nil, -1
 	for p := e.first; p != nil; p = p.next {
 		if !p.done {
 			e.Kill(p)
@@ -647,23 +652,74 @@ func (c *Chan[T]) RecvUntil(p *Proc, deadline float64) (T, bool) {
 		}
 		c.waiters = append(c.waiters, p)
 		p.waitSeq++
-		seq := p.waitSeq
-		// The timeout event must only act if p is still parked in THIS wait:
-		// the sequence guard rejects later waits of the same process, the
-		// membership scan rejects waits already woken by a delivery.
-		c.env.Schedule(deadline-c.env.now, func() {
-			if p.waitSeq != seq || p.done {
-				return
-			}
-			for i, w := range c.waiters {
-				if w == p {
-					c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-					c.env.scheduleResume(0, p)
-					return
-				}
-			}
-		})
+		c.env.armTimeout(deadline-c.env.now, p, c)
 		p.block()
 	}
 	return c.popFront(), true
+}
+
+// unwait removes p from c's waiters and reports whether it was there.
+func (c *Chan[T]) unwait(p *Proc) bool {
+	for i, w := range c.waiters {
+		if w == p {
+			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// waitQueue is a channel seen by a RecvUntil timeout: whatever its payload
+// type, the timeout only needs to take its process off the waiters.
+type waitQueue interface {
+	unwait(p *Proc) bool
+}
+
+// timeout is one armed RecvUntil deadline: process p, parked on q in the
+// wait numbered seq. In a vacant arena slot, next links the free list.
+type timeout struct {
+	p    *Proc
+	q    waitQueue
+	seq  int64
+	next int32
+}
+
+// armTimeout schedules the deadline of p's current wait on q as a tagged
+// call into the Env's timeout arena: the same event time and sequence
+// number a closure would get, without the closure.
+func (e *Env) armTimeout(delay float64, p *Proc, q waitQueue) {
+	slot := e.freeTimeout
+	if slot >= 0 {
+		e.freeTimeout = e.timeouts[slot].next
+		e.timeouts[slot] = timeout{p: p, q: q, seq: p.waitSeq}
+	} else {
+		if e.timeouts == nil {
+			// Room for one pending deadline per live process.
+			e.timeouts = make([]timeout, 0, max(e.live, 8))
+		}
+		slot = int32(len(e.timeouts))
+		e.timeouts = append(e.timeouts, timeout{p: p, q: q, seq: p.waitSeq})
+	}
+	e.ScheduleCall(delay, (*timeouts)(e), slot)
+}
+
+// timeouts is an Env seen as the Target of its RecvUntil deadlines (a
+// conversion, like chanStage, so Env's exported method set carries no
+// kernel hook).
+type timeouts Env
+
+// Fire expires a deadline. It only acts if the process is still parked in
+// the wait it was armed for: the sequence guard rejects later waits of the
+// same process, the membership scan waits already woken by a delivery.
+func (t *timeouts) Fire(slot int32) {
+	e := (*Env)(t)
+	to := e.timeouts[slot]
+	e.timeouts[slot] = timeout{next: e.freeTimeout}
+	e.freeTimeout = slot
+	if to.p.waitSeq != to.seq || to.p.done {
+		return
+	}
+	if to.q.unwait(to.p) {
+		e.scheduleResume(0, to.p)
+	}
 }

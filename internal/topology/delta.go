@@ -89,79 +89,62 @@ func (g *Grid) ApplyDelta(d Delta) (*Grid, error) {
 	return ng, nil
 }
 
-// PatchCosts seeds dst's edge-cost cache from src's, for a dst that differs
+// PatchCosts seeds dst's cost store from src's, for a dst that differs
 // from src only in wide-area row and column c (the ApplyDelta contract):
-// for every message size src has already costed, the unchanged entries are
-// copied and only row/column c re-evaluated against dst's parameters. The
-// latency matrix is patched once and aliased by every size, as EdgeCosts
-// does; src's matrices are never written. The result is bitwise identical
-// to dst costing each size from scratch — unchanged links carry unchanged
+// for every size resident in src, each matrix src has derived is copied and
+// only its row and column c re-evaluated against dst's parameters, through
+// the same builder EdgeCosts uses. Parts src has not derived stay
+// underived. The latency matrix is patched once and aliased by every size;
+// src's matrices are never written. The result is bitwise identical to dst
+// costing each size from scratch — unchanged links carry unchanged
 // parameters, so re-evaluating them would reproduce the exact same floats —
-// at O(n) evaluations instead of O(n²).
+// at O(n) pLogP evaluations per size instead of O(n²).
 func PatchCosts(src, dst *Grid, c int) {
-	src.costMu.Lock()
-	sizes := make([]int64, 0, len(src.costs))
-	cached := make([]*EdgeCosts, 0, len(src.costs))
-	for m, ec := range src.costs {
-		sizes = append(sizes, m)
-		cached = append(cached, ec)
+	type resident struct {
+		m        int64
+		g, w, wt [][]float64
 	}
-	srcLat := src.lat
-	src.costMu.Unlock()
+	s := &src.costs
+	s.mu.Lock()
+	var sizes []resident
+	// Least recently used first, so dst's recency order mirrors src's.
+	for ec := s.lru.prev; ec != nil && ec != &s.lru; ec = ec.prev {
+		sizes = append(sizes, resident{ec.m, ec.G, ec.w, ec.wt})
+	}
+	srcLat := s.lat
+	s.mu.Unlock()
 	if len(sizes) == 0 {
 		return
 	}
 
 	n := dst.N()
-	lat := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		lat[i] = append([]float64(nil), srcLat[i]...)
+	d := &dst.costs
+	lat := buildMatrix(n, srcLat, c, dst.Latency)
+	d.mu.Lock()
+	if d.lat == nil {
+		d.lat = lat
 	}
-	for j := 0; j < n; j++ {
-		if j != c {
-			lat[c][j] = dst.Latency(c, j)
-			lat[j][c] = dst.Latency(j, c)
-		}
-	}
-	dst.costMu.Lock()
-	if dst.lat == nil {
-		dst.lat = lat
-	}
-	lat = dst.lat
-	dst.costMu.Unlock()
+	lat = d.lat
+	d.mu.Unlock()
 
-	for k, m := range sizes {
-		old := cached[k]
+	for _, r := range sizes {
+		m := r.m
 		ec := &EdgeCosts{
-			G:  make([][]float64, n),
-			L:  lat,
-			W:  make([][]float64, n),
-			WT: make([][]float64, n),
+			G:     buildMatrix(n, r.g, c, func(i, j int) float64 { return dst.Gap(i, j, m) }),
+			L:     lat,
+			m:     m,
+			store: d,
 		}
-		for i := 0; i < n; i++ {
-			ec.G[i] = append([]float64(nil), old.G[i]...)
-			ec.W[i] = append([]float64(nil), old.W[i]...)
+		if r.w != nil {
+			ec.buildW(r.w, c)
 		}
-		for j := 0; j < n; j++ {
-			if j == c {
-				continue
-			}
-			ec.G[c][j] = dst.Gap(c, j, m)
-			ec.W[c][j] = ec.G[c][j] + lat[c][j]
-			ec.G[j][c] = dst.Gap(j, c, m)
-			ec.W[j][c] = ec.G[j][c] + lat[j][c]
+		if r.wt != nil {
+			ec.buildWT(r.wt, c)
 		}
-		for j := 0; j < n; j++ {
-			ec.WT[j] = make([]float64, n)
-			for i := 0; i < n; i++ {
-				ec.WT[j][i] = ec.W[i][j]
-			}
+		d.mu.Lock()
+		if d.entries[m] == nil {
+			d.insert(ec)
 		}
-		dst.costMu.Lock()
-		if dst.costs == nil {
-			dst.costs = map[int64]*EdgeCosts{}
-		}
-		dst.costs[m] = ec
-		dst.costMu.Unlock()
+		d.mu.Unlock()
 	}
 }

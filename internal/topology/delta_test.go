@@ -129,10 +129,10 @@ func TestPatchCostsBitwiseIdentical(t *testing.T) {
 			for i := 0; i < g.N(); i++ {
 				for j := 0; j < g.N(); j++ {
 					if pc.G[i][j] != fc.G[i][j] || pc.L[i][j] != fc.L[i][j] ||
-						pc.W[i][j] != fc.W[i][j] || pc.WT[i][j] != fc.WT[i][j] {
+						pc.W()[i][j] != fc.W()[i][j] || pc.WT()[i][j] != fc.WT()[i][j] {
 						t.Fatalf("m=%d entry (%d,%d): patched (%g,%g,%g,%g) != fresh (%g,%g,%g,%g)",
-							m, i, j, pc.G[i][j], pc.L[i][j], pc.W[i][j], pc.WT[i][j],
-							fc.G[i][j], fc.L[i][j], fc.W[i][j], fc.WT[i][j])
+							m, i, j, pc.G[i][j], pc.L[i][j], pc.W()[i][j], pc.WT()[i][j],
+							fc.G[i][j], fc.L[i][j], fc.W()[i][j], fc.WT()[i][j])
 					}
 				}
 			}

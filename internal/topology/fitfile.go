@@ -16,10 +16,10 @@
 //	intra   <index> <L_seconds> <size>:<seconds> [<size>:<seconds> ...]
 //	link    <from> <to> <L_seconds> <size>:<seconds> [<size>:<seconds> ...]
 //
-// The header line is mandatory. Cluster indices must cover 0..n-1; a
-// cluster with bcast_time 0 needs an intra line (its local pLogP
-// parameters); every off-diagonal link must be present. Names are
-// Go-quoted, so they may contain spaces.
+// The header line is mandatory. Cluster indices must cover 0..n-1, with n
+// at most MaxClusters; a cluster with bcast_time 0 needs an intra line (its
+// local pLogP parameters); every off-diagonal link must be present. Names
+// are Go-quoted, so they may contain spaces.
 package topology
 
 import (
@@ -120,6 +120,10 @@ func ParseFits(r io.Reader, name string) (*Grid, error) {
 			idx, err := strconv.Atoi(fields[1])
 			if err != nil || idx < 0 {
 				return nil, fail("bad cluster index %q", fields[1])
+			}
+			if idx >= MaxClusters {
+				// Indices are dense, so this file has too many clusters.
+				return nil, fail("cluster index %d exceeds the limit of %d clusters", idx, MaxClusters)
 			}
 			if _, dup := clusters[idx]; dup {
 				return nil, fail("duplicate cluster %d", idx)

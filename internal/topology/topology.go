@@ -16,7 +16,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"sync"
 	"sync/atomic"
 
 	"gridbcast/internal/plogp"
@@ -48,77 +47,15 @@ type Grid struct {
 	// ignored. The matrix need not be symmetric.
 	Inter [][]plogp.Params `json:"inter"`
 
-	// costMu guards costs, the per-message-size cache of evaluated pLogP
-	// matrices, and lat, the latency matrix every cached entry aliases
-	// (latency does not depend on message size). The cache is never
-	// invalidated: platform descriptions are immutable once costed
-	// (construction-time edits happen before the first EdgeCosts call).
-	costMu sync.Mutex
-	costs  map[int64]*EdgeCosts
-	lat    [][]float64
+	// costs is the grid's bounded per-message-size cache of evaluated
+	// pLogP matrices (costs.go). Platform descriptions are immutable once
+	// costed (construction-time edits happen before the first EdgeCosts
+	// call), so an entry is never stale; it only leaves under the store's
+	// byte budget.
+	costs costStore
 	// valid records a successful Validate of a costed grid, under the same
 	// immutable-once-costed contract; failures are never recorded.
 	valid atomic.Bool
-}
-
-// EdgeCosts is the wide-area pLogP matrices of a grid evaluated at one
-// message size. G[i][j] = g_{i,j}(m), L[i][j] = latency, W = G + L, and WT
-// is W transposed (WT[j][i] = W[i][j], for receiver-major scans). The
-// matrices are shared by every caller — treat them as read-only. L is the
-// same matrix in every entry of one grid.
-type EdgeCosts struct {
-	G, L, W, WT [][]float64
-}
-
-// EdgeCosts evaluates (or returns the cached) wide-area cost matrices for a
-// broadcast payload of m bytes. Repeated schedule constructions over the
-// same platform — root rotations, Monte-Carlo replications at the paper's
-// fixed 1 MB size, figure sweeps — skip the piecewise-linear pLogP
-// evaluations entirely after the first call.
-func (g *Grid) EdgeCosts(m int64) *EdgeCosts {
-	g.costMu.Lock()
-	defer g.costMu.Unlock()
-	if ec, ok := g.costs[m]; ok {
-		return ec
-	}
-	n := g.N()
-	if g.lat == nil {
-		g.lat = make([][]float64, n)
-		for i := 0; i < n; i++ {
-			g.lat[i] = make([]float64, n)
-			for j := 0; j < n; j++ {
-				if i != j {
-					g.lat[i][j] = g.Latency(i, j)
-				}
-			}
-		}
-	}
-	ec := &EdgeCosts{
-		G:  make([][]float64, n),
-		L:  g.lat,
-		W:  make([][]float64, n),
-		WT: make([][]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		ec.G[i] = make([]float64, n)
-		ec.W[i] = make([]float64, n)
-		ec.WT[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			ec.G[i][j] = g.Gap(i, j, m)
-			ec.W[i][j] = ec.G[i][j] + ec.L[i][j]
-			ec.WT[j][i] = ec.W[i][j]
-		}
-	}
-	if g.costs == nil {
-		g.costs = map[int64]*EdgeCosts{}
-	}
-	g.costs[m] = ec
-	return ec
 }
 
 // N returns the number of clusters.
@@ -151,9 +88,9 @@ func (g *Grid) Validate() error {
 	if err := g.validate(); err != nil {
 		return err
 	}
-	g.costMu.Lock()
-	costed := g.costs != nil
-	g.costMu.Unlock()
+	g.costs.mu.Lock()
+	costed := g.costs.lat != nil
+	g.costs.mu.Unlock()
 	if costed {
 		g.valid.Store(true)
 	}
@@ -216,9 +153,15 @@ func (g *Grid) WriteJSON(w io.Writer) error {
 	return enc.Encode(g)
 }
 
-// ReadJSON deserialises and validates a grid. Decode errors carry the
-// line:column of the offending byte, so a malformed platform file is
-// diagnosable from the message alone.
+// MaxClusters bounds the platforms the file readers (ReadJSON, ParseFits)
+// accept. A grid's cost matrices grow as n² — at the cap one fully derived
+// message size is about 402 MB — so a platform file must not be able to
+// ask for more.
+const MaxClusters = 4096
+
+// ReadJSON deserialises and validates a grid of at most MaxClusters
+// clusters. Decode errors carry the line:column of the offending byte, so a
+// malformed platform file is diagnosable from the message alone.
 func ReadJSON(r io.Reader) (*Grid, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -237,6 +180,9 @@ func ReadJSON(r io.Reader) (*Grid, error) {
 			return nil, fmt.Errorf("topology: decode: line %d column %d: %w", line, col, err)
 		}
 		return nil, fmt.Errorf("topology: decode: %w", err)
+	}
+	if n := g.N(); n > MaxClusters {
+		return nil, fmt.Errorf("topology: %d clusters exceeds the limit of %d", n, MaxClusters)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err

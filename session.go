@@ -78,8 +78,8 @@ func scanBuilderFor(req Request) *sched.ParallelBuilder {
 }
 
 // Session binds a platform to everything needed to plan and execute
-// broadcasts on it: the grid's per-message-size EdgeCosts caches warm up on
-// first use and are shared by subsequent plans, and schedule construction
+// broadcasts on it: the grid's per-message-size cost store warms up on
+// first use and is shared by subsequent plans, and schedule construction
 // runs through pooled incremental engines. A Session is safe for concurrent
 // use — many goroutines may Plan, PlanBatch and Execute against one warmed
 // platform, the serving-scale scenario the per-call API could not express.
@@ -191,6 +191,10 @@ func (s *Session) CacheStats() CacheStats {
 	}
 	return CacheStats(s.cache.Stats())
 }
+
+// CostStats reports the session platform's cost store (see CostStats).
+// Sessions from Replan have a platform, and so a store, of their own.
+func (s *Session) CostStats() CostStats { return s.g.CostStats() }
 
 // InvalidateCache retires every cached plan by bumping the key generation:
 // subsequent lookups miss and rebuild, and the stale entries age out
@@ -827,12 +831,12 @@ func (s *Session) ExecuteBinomialContext(ctx context.Context, root int, size int
 }
 
 // Replan absorbs a measured single-cluster platform drift into an existing
-// plan: the drifted platform reuses the session's edge-cost caches outside
-// the changed row/column (topology.PatchCosts), and plans that recorded a
-// construction trace (WithReplan, or any eligible cache-resident build)
-// replay it in O(affected receivers) instead of rebuilding
-// (sched.Replanner); everything else re-plans the stored request from
-// scratch on the drifted platform. Either way the returned plan is
+// plan: the drifted platform reuses the costs resident in the session's
+// store outside the changed row/column (topology.PatchCosts), and plans
+// that recorded a construction trace (WithReplan, or any eligible
+// cache-resident build) replay it in O(affected receivers) instead of
+// rebuilding (sched.Replanner); everything else re-plans the stored request
+// from scratch on the drifted platform. Either way the returned plan is
 // byte-identical (timing statistics aside) to what Session.Plan on a
 // freshly drifted platform would build — drift absorption never changes
 // the answer, only its cost. Returns the drifted session alongside the
