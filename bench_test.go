@@ -428,6 +428,47 @@ func BenchmarkEnginePool(b *testing.B) {
 	})
 }
 
+// BenchmarkBestOfColdSizes measures the daemon's cold-request shape: a
+// best-of over the paper's heuristics (sched.Paper) at 16 message sizes the
+// pool has not seen, through one EnginePool held across ops as a Session
+// holds its pools. Every size brings its own W, so each op costs 16 sizes'
+// matrices and builds 48 lookahead templates, each read by one schedule.
+// n=128 is the daemon's random:7:128 platform; at n=512 a template is
+// 4 MB, so the pool's byte budget evicts as the stream goes on.
+func BenchmarkBestOfColdSizes(b *testing.B) {
+	for _, n := range []int{128, 512} {
+		g := topology.RandomGrid(stats.NewRand(7), n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ep := sched.NewEnginePool()
+			m := int64(1 << 20)
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < 16; k++ {
+					m += 4099
+					p := sched.MustProblem(g, k, m, sched.Options{})
+					for _, h := range sched.Paper() {
+						ep.Schedule(h, p)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTracedBuild measures a traced ECEF-LAT build — the schedule plus
+// the replay log a cached single-heuristic plan keeps for Session.Replan —
+// on a pool whose template is warm.
+func BenchmarkTracedBuild(b *testing.B) {
+	for _, n := range []int{128, 512} {
+		p := sched.MustProblem(topology.RandomGrid(stats.NewRand(7), n), 0, 1<<20, sched.Options{})
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ep := sched.NewEnginePool()
+			for i := 0; i < b.N; i++ {
+				sched.ScheduleTraced(ep, sched.ECEFLAT(), p)
+			}
+		})
+	}
+}
+
 // BenchmarkParallelBuild measures single-schedule construction latency with
 // the per-round receiver scans sharded across a scan pool (EnginePool.Scan)
 // spawned and closed per build — the regime where one large construction

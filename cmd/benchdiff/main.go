@@ -36,6 +36,11 @@
 //     Benchmarks absent from the baseline still compare against the
 //     committed values, and allocs/op (machine-independent) always does.
 //     The baseline note is printed with the comparison for auditability.
+//   - Rows measuring parallel construction (names containing "Parallel" or
+//     "workers=") from a new snapshot recorded on one core — GOMAXPROCS 1
+//     or nproc 1, as cmd/benchjson records them — are labelled "not a
+//     speedup measurement": their worker counts time scheduling overhead,
+//     not parallelism. Snapshots without those fields are not labelled.
 //
 // Exit status: 0 when clean, 1 on regressions, 2 on usage or read errors.
 package main
@@ -64,6 +69,8 @@ type result struct {
 type report struct {
 	GeneratedAt  string   `json:"generated_at"`
 	GoVersion    string   `json:"go_version"`
+	NProc        int      `json:"nproc,omitempty"`
+	GOMAXPROCS   int      `json:"gomaxprocs,omitempty"`
 	Results      []result `json:"results"`
 	Baseline     []result `json:"baseline,omitempty"`
 	BaselineNote string   `json:"baseline_note,omitempty"`
@@ -101,6 +108,9 @@ type Delta struct {
 	NsRegressed     bool
 	AllocsRegressed bool
 	NsBelowFloor    bool
+	// NotSpeedup marks a parallel row from a single-core snapshot
+	// (LabelSingleCore).
+	NotSpeedup bool
 }
 
 // Regressed reports whether either metric regressed.
@@ -145,6 +155,24 @@ func Compare(old, new []result, opt Options) (deltas []Delta, added, removed []s
 	sort.Strings(added)
 	sort.Strings(removed)
 	return deltas, added, removed
+}
+
+// notSpeedupNote is how reports label a parallel row recorded on one core.
+const notSpeedupNote = "not a speedup measurement (1-core snapshot)"
+
+// notSpeedup reports whether row name of snapshot r times parallel
+// construction (Parallel, workers=) on a snapshot recorded on one core.
+func notSpeedup(name string, r *report) bool {
+	return (r.GOMAXPROCS == 1 || r.NProc == 1) &&
+		(strings.Contains(name, "Parallel") || strings.Contains(name, "workers="))
+}
+
+// LabelSingleCore sets NotSpeedup on the deltas whose rows in the new
+// snapshot r are parallel rows recorded on one core.
+func LabelSingleCore(deltas []Delta, r *report) {
+	for i := range deltas {
+		deltas[i].NotSpeedup = notSpeedup(deltas[i].Name, r)
+	}
 }
 
 // SortSnapshots orders snapshot file names by the first integer embedded in
@@ -230,13 +258,14 @@ func diffFiles(oldPath, newPath string, opt Options, verbose bool, md *strings.B
 		}
 	}
 	deltas, added, removed := Compare(oldResults, new.Results, opt)
+	LabelSingleCore(deltas, new)
 
 	bad := 0
 	for _, d := range deltas {
 		if d.Regressed() {
 			bad++
 		}
-		if d.Regressed() || verbose {
+		if d.Regressed() || verbose || d.NotSpeedup {
 			fmt.Printf("%s %-60s ns/op %12.0f -> %12.0f (%+.1f%%)%s%s\n",
 				verdict(&d), d.Name, d.OldNs, d.NewNs, (d.NsRatio-1)*100,
 				allocsColumn(&d), noteColumn(&d))
@@ -245,13 +274,18 @@ func diffFiles(oldPath, newPath string, opt Options, verbose bool, md *strings.B
 	fmt.Printf("benchdiff: %s -> %s: %d compared, %d regressed, %d added, %d removed (tol %+.0f%%, ns floor %gns)\n",
 		oldPath, newPath, len(deltas), bad, len(added), len(removed), opt.Tol*100, opt.NsFloor)
 	for _, name := range added {
-		fmt.Printf("  added:   %s\n", name)
+		fmt.Printf("  added:   %s%s\n", name, noteColumn(&Delta{NotSpeedup: notSpeedup(name, new)}))
 	}
 	for _, name := range removed {
 		fmt.Printf("  REMOVED: %s\n", name)
 	}
 	if md != nil {
 		Markdown(md, oldPath, newPath, deltas, added, removed, opt)
+		for _, name := range added {
+			if notSpeedup(name, new) {
+				fmt.Fprintf(md, "- `%s`: %s\n", name, notSpeedupNote)
+			}
+		}
 	}
 	return bad, nil
 }
@@ -275,7 +309,7 @@ func Markdown(b *strings.Builder, oldPath, newPath string, deltas []Delta, added
 		len(deltas), len(added), len(removed), opt.Tol*100, opt.allocTol()*100, opt.AllocSlack, opt.NsFloor)
 	rows := make([]Delta, 0, len(deltas))
 	for _, d := range deltas {
-		if d.Regressed() {
+		if d.Regressed() || d.NotSpeedup {
 			rows = append(rows, d)
 		}
 	}
@@ -301,6 +335,9 @@ func Markdown(b *strings.Builder, oldPath, newPath string, deltas []Delta, added
 				status = "**allocs regression**"
 			case d.NsBelowFloor:
 				status = "below ns floor"
+			}
+			if d.NotSpeedup {
+				status += "; " + notSpeedupNote
 			}
 			fmt.Fprintf(b, "| %s | %.0f → %.0f | %+.1f%% | %s | %s |\n",
 				d.Name, d.OldNs, d.NewNs, (d.NsRatio-1)*100, allocs, status)
@@ -416,17 +453,21 @@ func allocsColumn(d *Delta) string {
 }
 
 func noteColumn(d *Delta) string {
+	note := ""
 	switch {
 	case d.NsRegressed && d.AllocsRegressed:
-		return "  [ns+allocs regression]"
+		note = "  [ns+allocs regression]"
 	case d.NsRegressed:
-		return "  [ns regression]"
+		note = "  [ns regression]"
 	case d.AllocsRegressed:
-		return "  [allocs regression]"
+		note = "  [allocs regression]"
 	case d.NsBelowFloor:
-		return "  [ns below floor, timing not compared]"
+		note = "  [ns below floor, timing not compared]"
 	}
-	return ""
+	if d.NotSpeedup {
+		note += "  [" + notSpeedupNote + "]"
+	}
+	return note
 }
 
 func load(path string) (*report, error) {

@@ -215,3 +215,47 @@ func TestMarkdownSummary(t *testing.T) {
 		t.Errorf("clean summary malformed:\n%s", out)
 	}
 }
+
+// TestLabelSingleCoreParallelRows pins the honest-snapshot label: parallel
+// rows (Parallel, workers=) of a snapshot recorded at GOMAXPROCS 1 or on a
+// 1-CPU machine say they are not a speedup measurement, in the text and
+// Markdown reports; other rows, multi-core snapshots and snapshots that do
+// not record the fields are left alone.
+func TestLabelSingleCoreParallelRows(t *testing.T) {
+	old := []result{
+		{Name: "BenchmarkPipelinedLadderParallel/workers=8", NsPerOp: 1e6},
+		{Name: "BenchmarkParallelBuild/n=512/workers=4", NsPerOp: 1e6},
+		{Name: "BenchmarkLargeGrid/ECEF/n=512", NsPerOp: 1e6},
+	}
+	new := append(append([]result(nil), old...), result{Name: "BenchmarkWorkStealingBuild/workers=2", NsPerOp: 1e6})
+	for _, tc := range []struct {
+		rep  report
+		want bool
+	}{
+		{report{NProc: 2, GOMAXPROCS: 1}, true},
+		{report{NProc: 1, GOMAXPROCS: 4}, true},
+		{report{NProc: 2, GOMAXPROCS: 2}, false},
+		{report{}, false},
+	} {
+		deltas, added, _ := Compare(old, new, opts())
+		LabelSingleCore(deltas, &tc.rep)
+		for _, d := range deltas {
+			if want := tc.want && d.Name != "BenchmarkLargeGrid/ECEF/n=512"; d.NotSpeedup != want {
+				t.Errorf("%+v: %s labelled %t, want %t", tc.rep, d.Name, d.NotSpeedup, want)
+			}
+			if d.NotSpeedup && !strings.Contains(noteColumn(&d), notSpeedupNote) {
+				t.Errorf("text report omits the label: %q", noteColumn(&d))
+			}
+		}
+		if len(added) != 1 || notSpeedup(added[0], &tc.rep) != tc.want {
+			t.Errorf("%+v: added rows %v not labelled %t", tc.rep, added, tc.want)
+		}
+		if tc.want {
+			var b strings.Builder
+			Markdown(&b, "a.json", "b.json", deltas, added, nil, opts())
+			if !strings.Contains(b.String(), "| BenchmarkParallelBuild/n=512/workers=4 | 1000000 → 1000000 | +0.0% | — | ok; "+notSpeedupNote+" |") {
+				t.Errorf("Markdown omits the label:\n%s", b.String())
+			}
+		}
+	}
+}

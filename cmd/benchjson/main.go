@@ -22,6 +22,12 @@
 // compared against the committed predecessor). -baseline-note records why
 // the rebaseline was needed; benchdiff prints it with every affected
 // comparison so the provenance is auditable.
+//
+// Every snapshot records the processor count of the machine benchjson runs
+// on (nproc; parse a transcript on the machine that recorded it) and the
+// GOMAXPROCS its benchmarks ran at (read from the transcript's
+// benchmark-name suffixes), so a reader — and cmd/benchdiff — can tell a
+// single-core recording from a multi-core one without prose.
 package main
 
 import (
@@ -65,8 +71,14 @@ type Report struct {
 	// (omitted when 1): each benchmark records its best ns/op run, the
 	// standard way to cut scheduler and frequency noise out of snapshots
 	// that feed cmd/benchdiff.
-	Count   int      `json:"count,omitempty"`
-	Results []Result `json:"results"`
+	Count int `json:"count,omitempty"`
+	// NProc is runtime.NumCPU() of the machine benchjson ran on.
+	NProc int `json:"nproc,omitempty"`
+	// GOMAXPROCS is the value the benchmarks ran at, from the -N suffix the
+	// testing package appends to names (no suffix means 1); omitted when
+	// the transcript mixes values or has no results.
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	Results    []Result `json:"results"`
 	// Baseline, when present, holds a re-measurement of the PREVIOUS
 	// snapshot's code taken on the same machine and in the same session as
 	// Results (see -baseline). BaselineNote documents why.
@@ -93,6 +105,7 @@ func main() {
 	rep := Report{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
+		NProc:       runtime.NumCPU(),
 	}
 	if *baseline != "" {
 		results, err := LoadResults(*baseline)
@@ -106,22 +119,22 @@ func main() {
 	// partial benchmark run never clobbers an existing BENCH_*.json.
 	switch {
 	case *in == "-":
-		results, err := Parse(os.Stdin)
+		results, procs, err := Parse(os.Stdin)
 		if err != nil {
 			fatal(err)
 		}
-		rep.Results = results
+		rep.Results, rep.GOMAXPROCS = results, procs
 	case *in != "":
 		f, err := os.Open(*in)
 		if err != nil {
 			fatal(err)
 		}
-		results, perr := Parse(f)
+		results, procs, perr := Parse(f)
 		f.Close()
 		if perr != nil {
 			fatal(perr)
 		}
-		rep.Results = results
+		rep.Results, rep.GOMAXPROCS = results, procs
 	default:
 		rep.Bench, rep.BenchTime = *bench, *benchtime
 		if *count > 1 {
@@ -139,14 +152,14 @@ func main() {
 		if err := cmd.Start(); err != nil {
 			fatal(err)
 		}
-		results, perr := Parse(pipe)
+		results, procs, perr := Parse(pipe)
 		if err := cmd.Wait(); err != nil {
 			fatal(fmt.Errorf("go test: %w", err))
 		}
 		if perr != nil {
 			fatal(perr)
 		}
-		rep.Results = results
+		rep.Results, rep.GOMAXPROCS = results, procs
 	}
 
 	w := os.Stdout
@@ -169,9 +182,12 @@ func main() {
 	}
 }
 
-// Parse extracts benchmark results from a `go test -bench` transcript.
-func Parse(r io.Reader) ([]Result, error) {
+// Parse extracts benchmark results from a `go test -bench` transcript, and
+// the GOMAXPROCS its benchmarks ran at (0 when it has no results or mixes
+// values).
+func Parse(r io.Reader) ([]Result, int, error) {
 	var out []Result
+	procs := -1
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -189,10 +205,15 @@ func Parse(r io.Reader) ([]Result, error) {
 		if err != nil {
 			continue // e.g. "BenchmarkX --- FAIL"
 		}
-		res := Result{
-			Name:       stripProcs(fields[0]),
-			Iterations: iters,
+		name, p := splitProcs(fields[0])
+		switch procs {
+		case -1:
+			procs = p
+		case p:
+		default:
+			procs = 0
 		}
+		res := Result{Name: name, Iterations: iters}
 		// The tail is (value, unit) pairs.
 		for k := 2; k+1 < len(fields); k += 2 {
 			v, err := strconv.ParseFloat(fields[k], 64)
@@ -215,7 +236,7 @@ func Parse(r io.Reader) ([]Result, error) {
 		}
 		out = append(out, res)
 	}
-	return mergeBest(out), sc.Err()
+	return mergeBest(out), max(procs, 0), sc.Err()
 }
 
 // mergeBest collapses repeated runs of one benchmark (-count > 1, or a
@@ -265,21 +286,21 @@ func moduleRoot() string {
 	return filepath.Dir(gomod)
 }
 
-// stripProcs removes the -GOMAXPROCS suffix the testing package appends to
-// benchmark names. The suffix reflects the benchmark run's GOMAXPROCS, so
-// it must be recognised syntactically (a trailing -digits), not by this
+// splitProcs splits the -GOMAXPROCS suffix the testing package appends to
+// benchmark names off name and returns it (1 when absent: the testing
+// package omits "-1"). The suffix reflects the benchmark run's GOMAXPROCS,
+// so it must be recognised syntactically (a trailing -digits), not by this
 // process's own processor count.
-func stripProcs(name string) string {
+func splitProcs(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i <= 0 || i == len(name)-1 {
-		return name
+		return name, 1
 	}
-	for _, c := range name[i+1:] {
-		if c < '0' || c > '9' {
-			return name
-		}
+	n, err := strconv.Atoi(name[i+1:])
+	if err != nil || name[i+1] < '0' || name[i+1] > '9' {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], n
 }
 
 func fatal(err error) {

@@ -15,7 +15,7 @@ BenchmarkFoo/n=10-4     	       3	      3011 ns/op	    1082 B/op	      10 allocs
 BenchmarkBar            	       5	    125000 ns/op	         0.52 vs-unseg
 PASS
 `
-	rs, err := Parse(strings.NewReader(transcript))
+	rs, _, err := Parse(strings.NewReader(transcript))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +42,12 @@ BenchmarkBar-4     	      20	      9000 ns/op
 BenchmarkFoo-4     	      20	      3011 ns/op	      10 allocs/op
 BenchmarkFoo-4     	      20	      4100 ns/op	      10 allocs/op
 `
-	rs, err := Parse(strings.NewReader(transcript))
+	rs, procs, err := Parse(strings.NewReader(transcript))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if procs != 4 {
+		t.Fatalf("GOMAXPROCS %d, want 4 from the -4 suffixes", procs)
 	}
 	if len(rs) != 2 {
 		t.Fatalf("parsed %d results, want merged 2", len(rs))
@@ -78,5 +81,37 @@ func TestLoadResultsForBaselineEmbedding(t *testing.T) {
 	}
 	if _, err := LoadResults(empty); err == nil {
 		t.Fatal("empty snapshot accepted as a baseline")
+	}
+}
+
+// TestParseRecordsGOMAXPROCS pins the snapshot's GOMAXPROCS field: read
+// from the name suffix, 1 when the testing package omitted it, 0 (unknown)
+// when the transcript mixes values or holds no results. Names whose last
+// dash-separated part is not all digits keep it.
+func TestParseRecordsGOMAXPROCS(t *testing.T) {
+	for _, tc := range []struct {
+		transcript string
+		want       int
+	}{
+		{"BenchmarkA/workers=8-2 \t 20 \t 100 ns/op\nBenchmarkB-2 \t 20 \t 100 ns/op\n", 2},
+		{"BenchmarkA/workers=8 \t 20 \t 100 ns/op\n", 1},
+		{"BenchmarkA-2 \t 20 \t 100 ns/op\nBenchmarkA-4 \t 20 \t 90 ns/op\n", 0},
+		{"PASS\n", 0},
+	} {
+		rs, procs, err := Parse(strings.NewReader(tc.transcript))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if procs != tc.want {
+			t.Errorf("%q: GOMAXPROCS %d, want %d", tc.transcript, procs, tc.want)
+		}
+		if len(rs) > 0 && rs[0].Name != "BenchmarkA/workers=8" && rs[0].Name != "BenchmarkA" {
+			t.Errorf("%q: name %q not stripped", tc.transcript, rs[0].Name)
+		}
+	}
+	for name, want := range map[string]string{"BenchmarkX/n-x": "BenchmarkX/n-x", "BenchmarkX-": "BenchmarkX-", "BenchmarkX-+3": "BenchmarkX-+3", "BenchmarkX-16": "BenchmarkX"} {
+		if got, _ := splitProcs(name); got != want {
+			t.Errorf("splitProcs(%q) = %q, want %q", name, got, want)
+		}
 	}
 }

@@ -364,47 +364,59 @@ type laEntry struct {
 	k int32
 }
 
-// laHeap yields the extremum of w over entries whose cluster is still in B.
-// The max variant stores negated weights so the comparator stays the same.
-type laHeap struct{ es []laEntry }
+// laHeap serves one receiver's lookahead candidates in ascending w (the
+// max variant stores negated weights so the comparator stays the same).
+// es[:len(es)-ext] is a binary min-heap; each extraction moves the root to
+// the slot the heap frees at its end, as heapsort does, so es[len(es)-1-c]
+// is the c-th entry in pop order. The pop order is a function of the
+// heapified array alone, so engines sharing one heap — each with its own
+// cursor (top) — see exactly the extrema a private copy would yield.
+type laHeap struct {
+	es  []laEntry
+	ext int32 // entries extracted into the tail
+}
 
 func (h *laHeap) heapify() {
 	for i := len(h.es)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
+		laSiftDown(h.es, i)
 	}
 }
 
-func (h *laHeap) siftDown(i int) {
-	n := len(h.es)
+func laSiftDown(es []laEntry, i int) {
+	n := len(es)
 	for {
 		l := 2*i + 1
 		if l >= n {
 			return
 		}
 		m := l
-		if r := l + 1; r < n && h.es[r].w < h.es[l].w {
+		if r := l + 1; r < n && es[r].w < es[l].w {
 			m = r
 		}
-		if h.es[m].w >= h.es[i].w {
+		if es[m].w >= es[i].w {
 			return
 		}
-		h.es[i], h.es[m] = h.es[m], h.es[i]
+		es[i], es[m] = es[m], es[i]
 		i = m
 	}
 }
 
-// top returns the extremum entry among members still in B, discarding
-// members that joined A; k = -1 when no member remains (F(j) = 0, the
-// naive lookahead's convention).
-func (h *laHeap) top(inA []bool) laEntry {
-	for len(h.es) > 0 {
-		if !inA[h.es[0].k] {
-			return h.es[0]
+// top advances the cursor *c past entries whose member joined A and
+// returns the first one still in B — the extremum over B — extracting from
+// the heap only when the cursor reaches the end of the extracted tail;
+// k = -1 when no member remains (F(j) = 0, the naive lookahead's
+// convention).
+func (h *laHeap) top(c *int32, inA []bool) laEntry {
+	for n := int32(len(h.es)); *c < n; *c++ {
+		if *c == h.ext {
+			last := n - 1 - h.ext
+			h.es[0], h.es[last] = h.es[last], h.es[0]
+			laSiftDown(h.es[:last], 0)
+			h.ext++
 		}
-		n := len(h.es) - 1
-		h.es[0] = h.es[n]
-		h.es = h.es[:n]
-		h.siftDown(0)
+		if e := h.es[n-1-*c]; !inA[e.k] {
+			return e
+		}
 	}
 	return laEntry{w: 0, k: -1}
 }
@@ -415,21 +427,15 @@ func (h *laHeap) top(inA []bool) laEntry {
 // off p.W and p.T; segmented problems pass their laProblem view, whose T is
 // the effective local-phase duration vector.
 
-// lookaheadSet holds the per-receiver lookahead heaps and their cached
-// extrema.
+// lookaheadSet holds the per-receiver lookahead heaps — an EnginePool
+// template's, shared with every engine the pool readies on it — this
+// build's cursors into them, and the cached extrema.
 type lookaheadSet struct {
 	la   []laHeap  // per-receiver lookahead heaps; nil for plain ECEF
+	cur  []int32   // per receiver: this build's position in la[j]'s pop order
 	fVal []float64 // cached F(j)
 	fTop []int32   // member attaining fVal[j] (-1 when B\{j} is empty)
 	neg  bool      // lookahead weights are negated (max variant)
-
-	// Copy-on-write over an EnginePool template (nil shared otherwise):
-	// while shared[j] is set, la[j] still reads the template's backing,
-	// and its first pop copies it to work[off[j]:off[j+1]]. A heap whose
-	// top never joins A is never copied.
-	shared []bool
-	work   []laEntry
-	off    []int
 }
 
 // laEntriesFor appends receiver j's lookahead candidates — every cluster
@@ -455,6 +461,24 @@ func laEntriesFor(backing []laEntry, h ecef, p *Problem, j int) []laEntry {
 	return backing
 }
 
+// laHeapsFor builds the heapified lookahead heaps of every receiver j with
+// !skip[j] (skip may be nil) over one backing array; skipped receivers get
+// an empty heap.
+func laHeapsFor(h ecef, p *Problem, skip []bool) []laHeap {
+	heaps := make([]laHeap, p.N)
+	backing := make([]laEntry, 0, p.N*(p.N-1))
+	for j := range heaps {
+		if skip != nil && skip[j] {
+			continue
+		}
+		start := len(backing)
+		backing = laEntriesFor(backing, h, p, j)
+		heaps[j].es = backing[start:len(backing):len(backing)]
+		heaps[j].heapify()
+	}
+	return heaps
+}
+
 // cache stores the lookahead extremum entry of receiver j, undoing the
 // max-variant negation.
 func (ls *lookaheadSet) cache(j int, top laEntry) {
@@ -474,13 +498,7 @@ func (ls *lookaheadSet) refresh(j int, inA []bool) {
 }
 
 func (ls *lookaheadSet) recompute(j int, inA []bool) {
-	if ls.shared != nil && ls.shared[j] {
-		ls.shared[j] = false
-		w := ls.work[ls.off[j]:ls.off[j+1]:ls.off[j+1]]
-		copy(w, ls.la[j].es)
-		ls.la[j].es = w
-	}
-	ls.cache(j, ls.la[j].top(inA))
+	ls.cache(j, ls.la[j].top(&ls.cur[j], inA))
 }
 
 // ---------------------------------------------------------------------------

@@ -13,17 +13,18 @@ import (
 // mechanisms:
 //
 //   - Buffer reuse: the candidate caches, sender heaps and lookahead
-//     backing arrays are allocated once per pool (per cluster count) and
-//     reset in O(N) per schedule, so steady-state scheduling stops
-//     allocating.
+//     cursors are allocated once per pool (per cluster count) and reset in
+//     O(N) per schedule, so steady-state scheduling stops allocating.
 //   - Lookahead templates: the per-receiver lookahead heaps depend only on
 //     W (and T for the -LAt/-LAT variants) — not on the root, because the
 //     engine already discards members lazily once they join A. The pool
-//     therefore builds each heap over *all* other clusters, caches the
-//     heapified backing per (W identity, lookahead kind), and later
-//     schedules — any root, same platform and size — start from a single
-//     memcpy instead of an O(N²) rebuild + heapify. The root's entries are
-//     filtered out on first access exactly like any cluster that joined A,
+//     therefore builds each heap over *all* other clusters and caches it
+//     heapified per (W identity, lookahead kind). Builds never copy it:
+//     each keeps one cursor per receiver into the heap's pop order, and
+//     the heap extracts its minima in place, once per template, the first
+//     time any build's cursor reaches them (laHeap.top). Later schedules —
+//     any root, same platform and size — start in O(N). The root's entries
+//     are skipped on first access exactly like any cluster that joined A,
 //     so the produced schedules stay bit-identical to the naive reference
 //     pickers (pinned by the equivalence tests).
 //
@@ -62,15 +63,14 @@ type EnginePool struct {
 	segBuShell  segBuEngine
 	segFefShell segFefEngine
 
-	// Lookahead working set (copied from a template per schedule),
-	// allocated on the first lookahead engine: it is O(N²), and FEF,
-	// BottomUp and plain ECEF never read it.
-	laBacking []laEntry
-	laHeaps   []laHeap
-	fVal      []float64
-	fTop      []int32
-	laShared  []bool
-	inA       []bool // scratch membership vector ({root} at engine init)
+	// Lookahead cursors and extrema, allocated on the first lookahead
+	// engine (the heaps themselves are the template's).
+	laCur []int32
+	fVal  []float64
+	fTop  []int32
+	inA   []bool // scratch membership vector ({root} at engine init)
+
+	trace traceBufs // ScheduleTraced's staging buffers
 
 	// templates and segTrans are the pool's two caches, bounded together
 	// by poolBudget: every entry is linked into one recency list (lru is
@@ -120,13 +120,13 @@ type laTemplateKey struct {
 	local bool
 }
 
-// laTemplate is a root-independent snapshot of the heapified lookahead
-// heaps: backing[off[j]:off[j+1]] is receiver j's heap over every k != j.
+// laTemplate holds the root-independent lookahead heaps: heaps[j] is
+// receiver j's heap over every k != j, all backed by one array. Engines
+// readied from it share the heaps and extract from them in place.
 type laTemplate struct {
-	n       int
-	t       []float64 // T used to key the entries (nil for the -LA kind)
-	backing []laEntry
-	off     []int
+	n     int
+	t     []float64 // T used to key the entries (nil for the -LA kind)
+	heaps []laHeap
 }
 
 // NewEnginePool returns an empty pool.
@@ -246,8 +246,8 @@ func (ep *EnginePool) buFor(p *Problem) *buEngine {
 	return e
 }
 
-// ecefFor readies the pooled engine for an ECEF-family heuristic, copying
-// the lookahead heaps from the platform's template.
+// ecefFor readies the pooled engine for an ECEF-family heuristic, reading
+// the lookahead heaps of the platform's template.
 func (ep *EnginePool) ecefFor(h ecef, p *Problem) *ecefEngine {
 	ep.resetRecvCache(p)
 	e := &ep.ecefShell
@@ -258,43 +258,28 @@ func (ep *EnginePool) ecefFor(h ecef, p *Problem) *ecefEngine {
 	return e
 }
 
-// loadLookahead readies a lookahead set from the platform's cached
-// template, pointing it at the pool's working buffers. local marks p as a
-// segmented problem's TL view (laProblem), cached under its own key. The
-// heaps start out reading the template and are copied to the working
-// backing one at a time, on their first pop (lookaheadSet.recompute): a
-// construction cut short after a few rounds copies few of them.
+// loadLookahead readies a lookahead set on the platform's cached template,
+// with every cursor at the start of its heap's pop order. local marks p as
+// a segmented problem's TL view (laProblem), cached under its own key.
 func (ep *EnginePool) loadLookahead(ls *lookaheadSet, h ecef, p *Problem, local bool) {
 	n := p.N
-	if len(ep.laHeaps) != n {
-		ep.laBacking = make([]laEntry, n*n)
-		ep.laHeaps = make([]laHeap, n)
+	if len(ep.laCur) != n {
+		ep.laCur = make([]int32, n)
 		ep.fVal = make([]float64, n)
 		ep.fTop = make([]int32, n)
-		ep.laShared = make([]bool, n)
 		ep.inA = make([]bool, n)
 	}
-	tpl := ep.template(h, p, local)
-	for j := 0; j < n; j++ {
-		lo, hi := tpl.off[j], tpl.off[j+1]
-		ep.laHeaps[j].es = tpl.backing[lo:hi:hi]
-		ep.laShared[j] = true
-	}
-	ls.neg = h.kind == laMaxWT
-	ls.la = ep.laHeaps
-	ls.fVal, ls.fTop = ep.fVal, ep.fTop
-	ls.shared, ls.work, ls.off = ep.laShared, ep.laBacking, tpl.off
-	// Initial extrema: A = {root}, so the template's root entries are
-	// discarded here exactly as the engine discards any member that joined
-	// A.
+	clear(ep.laCur)
+	*ls = lookaheadSet{la: ep.template(h, p, local).heaps, cur: ep.laCur,
+		fVal: ep.fVal, fTop: ep.fTop, neg: h.kind == laMaxWT}
+	// Initial extrema: A = {root}, so the root's entries are skipped here
+	// exactly as the engine skips any member that joined A. The root's own
+	// entry is never read; it is cleared so that a traced build's snapshot
+	// does not depend on the pool's earlier builds.
+	ls.fVal[p.Root], ls.fTop[p.Root] = 0, -1
 	ep.inA[p.Root] = true
 	for j := 0; j < n; j++ {
-		if j == p.Root {
-			continue
-		}
-		if es := ls.la[j].es; len(es) > 0 && int(es[0].k) != p.Root {
-			ls.cache(j, es[0])
-		} else {
+		if j != p.Root {
 			ls.recompute(j, ep.inA)
 		}
 	}
@@ -429,22 +414,15 @@ func (ep *EnginePool) template(h ecef, p *Problem, local bool) *laTemplate {
 		ep.drop(e)
 	}
 	n := p.N
-	bytes := int64(n)*int64(n-1)*int64(unsafe.Sizeof(laEntry{})) + int64(n+1)*8
+	bytes := int64(n)*int64(n-1)*int64(unsafe.Sizeof(laEntry{})) + int64(n)*int64(unsafe.Sizeof(laHeap{}))
 	if h.kind != laMinW {
 		bytes += int64(n) * 8
 	}
 	ep.evict(bytes)
-	tpl := &laTemplate{n: n, off: make([]int, n+1), backing: make([]laEntry, 0, n*(n-1))}
+	tpl := &laTemplate{n: n, heaps: laHeapsFor(h, p, nil)}
 	if h.kind != laMinW {
 		tpl.t = append([]float64(nil), p.T...)
 	}
-	for j := 0; j < n; j++ {
-		tpl.off[j] = len(tpl.backing)
-		tpl.backing = laEntriesFor(tpl.backing, h, p, j)
-		hp := laHeap{es: tpl.backing[tpl.off[j]:len(tpl.backing)]}
-		hp.heapify()
-	}
-	tpl.off[n] = len(tpl.backing)
 	e := &cached{tkey: key, tpl: tpl, bytes: bytes}
 	ep.templates[key] = e
 	ep.admit(e)

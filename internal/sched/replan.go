@@ -1,6 +1,9 @@
 package sched
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Drift-resilient replanning. A traced build records the incremental
 // engine's per-receiver candidate state (best sender and lookahead
@@ -83,10 +86,13 @@ type BuildTrace struct {
 	initS []int32
 	initF []float64 // nil for plain ECEF
 	initT []int32
-	// kd[r]/fd[r] transform the state of round r-1 into round r (kd[0] and
-	// fd[0] are empty; the initial arrays are round 0).
-	kd [][]kDelta
-	fd [][]fDelta
+	// kd[kOff[r]:kOff[r+1]] and fd[fOff[r]:fOff[r+1]] transform the state
+	// of round r-1 into round r (round 0 has none; the initial arrays are
+	// its state). Every array is exactly sized: one allocation per array
+	// and no append slack retained by a cached trace.
+	kd         []kDelta
+	fd         []fDelta
+	kOff, fOff []int32
 }
 
 // Heuristic returns the display name of the traced heuristic.
@@ -103,60 +109,66 @@ func Traceable(h Heuristic) bool {
 
 // tracedPick wraps the incremental ECEF-family engine and logs its
 // candidate state after every pick: a full copy after round 0, deltas
-// afterwards. The pool reuses the engine's buffers across schedules, so
-// every recorded value is copied. Entries of receivers already in A are
-// frozen in the engine's caches, so the diffs naturally cover exactly the
-// receivers a replay may still read.
+// afterwards, staged in the pool's traceBufs. The pool reuses the engine's
+// buffers across schedules, so every recorded value is copied. A round's
+// sync and lookahead refresh touch only receivers outside A, and entries
+// of receivers already in A are frozen, so each round diffs just the
+// receivers still outside A plus the one it committed, in ascending order
+// — the same deltas, in the same order, as a diff over all N.
 type tracedPick struct {
 	e  *ecefEngine
 	tr *BuildTrace
-	// Previous round's state, for diffing.
-	prevK []float64
-	prevS []int32
-	prevF []float64
-	prevT []int32
+	*traceBufs
+}
+
+// traceBufs is an EnginePool's scratch for traced builds: the staged
+// deltas and the previous round's state they diff against.
+type traceBufs struct {
+	kd           []kDelta
+	fd           []fDelta
+	prevK, prevF []float64
+	prevS, prevT []int32
 }
 
 func (t *tracedPick) Name() string { return t.e.Name() }
 
 func (t *tracedPick) pick(p *Problem, s *state) (int, int) {
 	i, j := t.e.pick(p, s)
-	rc := &t.e.rc
-	tr := t.tr
-	if t.prevK == nil {
-		tr.initK = append([]float64(nil), rc.cKey...)
-		tr.initS = append([]int32(nil), rc.cSnd...)
-		t.prevK = append([]float64(nil), rc.cKey...)
-		t.prevS = append([]int32(nil), rc.cSnd...)
-		if t.e.la != nil {
-			tr.initF = append([]float64(nil), t.e.fVal...)
-			tr.initT = append([]int32(nil), t.e.fTop...)
-			t.prevF = append([]float64(nil), t.e.fVal...)
-			t.prevT = append([]int32(nil), t.e.fTop...)
+	rc, ls, tr := &t.e.rc, &t.e.lookaheadSet, t.tr
+	if len(tr.kOff) == 1 {
+		tr.initK, tr.initS = slices.Clone(rc.cKey), slices.Clone(rc.cSnd)
+		t.prevK, t.prevS = append(t.prevK[:0], rc.cKey...), append(t.prevS[:0], rc.cSnd...)
+		if ls.la != nil {
+			tr.initF, tr.initT = slices.Clone(ls.fVal), slices.Clone(ls.fTop)
+			t.prevF, t.prevT = append(t.prevF[:0], ls.fVal...), append(t.prevT[:0], ls.fTop...)
 		}
-		tr.kd = append(tr.kd, nil)
-		tr.fd = append(tr.fd, nil)
-		return i, j
-	}
-	var kds []kDelta
-	for x := 0; x < p.N; x++ {
-		if rc.cKey[x] != t.prevK[x] || rc.cSnd[x] != t.prevS[x] {
-			kds = append(kds, kDelta{j: int32(x), snd: rc.cSnd[x], key: rc.cKey[x]})
-			t.prevK[x], t.prevS[x] = rc.cKey[x], rc.cSnd[x]
+		t.kd, t.fd = t.kd[:0], t.fd[:0]
+	} else {
+		at, _ := slices.BinarySearch(rc.rem, int32(j))
+		for _, x := range rc.rem[:at] {
+			t.diff(x)
+		}
+		t.diff(int32(j))
+		for _, x := range rc.rem[at:] {
+			t.diff(x)
 		}
 	}
-	var fds []fDelta
-	if t.e.la != nil {
-		for x := 0; x < p.N; x++ {
-			if t.e.fVal[x] != t.prevF[x] || t.e.fTop[x] != t.prevT[x] {
-				fds = append(fds, fDelta{j: int32(x), top: t.e.fTop[x], val: t.e.fVal[x]})
-				t.prevF[x], t.prevT[x] = t.e.fVal[x], t.e.fTop[x]
-			}
-		}
-	}
-	tr.kd = append(tr.kd, kds)
-	tr.fd = append(tr.fd, fds)
+	tr.kOff = append(tr.kOff, int32(len(t.kd)))
+	tr.fOff = append(tr.fOff, int32(len(t.fd)))
 	return i, j
+}
+
+// diff stages receiver x's deltas against the previous round.
+func (t *tracedPick) diff(x int32) {
+	rc, ls := &t.e.rc, &t.e.lookaheadSet
+	if rc.cKey[x] != t.prevK[x] || rc.cSnd[x] != t.prevS[x] {
+		t.kd = append(t.kd, kDelta{j: x, snd: rc.cSnd[x], key: rc.cKey[x]})
+		t.prevK[x], t.prevS[x] = rc.cKey[x], rc.cSnd[x]
+	}
+	if ls.la != nil && (ls.fVal[x] != t.prevF[x] || ls.fTop[x] != t.prevT[x]) {
+		t.fd = append(t.fd, fDelta{j: x, top: ls.fTop[x], val: ls.fVal[x]})
+		t.prevF[x], t.prevT[x] = ls.fVal[x], ls.fTop[x]
+	}
 }
 
 // ScheduleTraced builds p's schedule through ep and, for traceable
@@ -168,8 +180,11 @@ func ScheduleTraced(ep *EnginePool, h Heuristic, p *Problem) (*Schedule, *BuildT
 	if !ok {
 		return ep.Schedule(h, p), nil
 	}
-	tr := &BuildTrace{h: hh, root: p.Root, n: p.N}
-	return run(&tracedPick{e: ep.ecefFor(hh, p), tr: tr}, p), tr
+	tr := &BuildTrace{h: hh, root: p.Root, n: p.N, kOff: make([]int32, 1, p.N), fOff: make([]int32, 1, p.N)}
+	t := &tracedPick{e: ep.ecefFor(hh, p), tr: tr, traceBufs: &ep.trace}
+	sc := run(t, p)
+	tr.kd, tr.fd = slices.Clone(t.kd), slices.Clone(t.fd)
+	return sc, tr
 }
 
 // ReplanSchedule rebuilds the traced schedule on a drifted problem. p must
@@ -208,7 +223,7 @@ func (r *Replanner) Replan(p *Problem, old *Schedule, tr *BuildTrace, changed in
 	if tr == nil || old == nil || p == nil ||
 		p.N != tr.n || p.Root != tr.root ||
 		changed < 0 || changed >= p.N ||
-		len(old.Events) != p.N-1 || len(tr.kd) != p.N-1 {
+		len(old.Events) != p.N-1 || len(tr.kOff) != p.N {
 		return nil
 	}
 	n := p.N
@@ -314,6 +329,7 @@ type replayer struct {
 	chK   float64   // cached exact key of the drifted receiver
 	chS   int
 	chLA  laHeap // lazy extremum heap for F(changed)
+	chC   int32  // cursor into chLA's pop order
 }
 
 // resetState rebuilds the root-only scheduling state in the Replanner's
@@ -376,8 +392,9 @@ func (r *Replanner) resetReplayer(p *Problem, tr *BuildTrace, changed int, s *st
 		}
 		// Lazy extremum heap for the drifted receiver's own lookahead term
 		// (its whole weight row drifted, so the trace says nothing).
-		rp.chLA.es = laEntriesFor(rp.chLA.es[:0], tr.h, p, changed)
+		rp.chLA = laHeap{es: laEntriesFor(rp.chLA.es[:0], tr.h, p, changed)}
 		rp.chLA.heapify()
+		rp.chC = 0
 	}
 	// Exact key of the drifted receiver (its column drifted, so the trace
 	// says nothing): the usual cached-best-sender scheme over A.
@@ -432,10 +449,10 @@ func (rp *replayer) applyDeltas(tr *BuildTrace, r int) {
 	if r == 0 {
 		return
 	}
-	for _, d := range tr.kd[r] {
+	for _, d := range tr.kd[tr.kOff[r]:tr.kOff[r+1]] {
 		rp.curK[d.j], rp.curS[d.j] = d.key, d.snd
 	}
-	for _, d := range tr.fd[r] {
+	for _, d := range tr.fd[tr.fOff[r]:tr.fOff[r+1]] {
 		rp.curF[d.j], rp.curT[d.j] = d.val, d.top
 		rp.addDirty(d.j)
 	}
@@ -560,7 +577,7 @@ func (rp *replayer) evalF(p *Problem, s *state, j int) float64 {
 // extremum heap (members are discarded once they join A), matching
 // recomputeF value-exactly.
 func (rp *replayer) chF(s *state) float64 {
-	top := rp.chLA.top(s.inA)
+	top := rp.chLA.top(&rp.chC, s.inA)
 	if top.k < 0 {
 		return 0
 	}
@@ -695,21 +712,10 @@ func (rp *replayer) warmEngine(p *Problem, s *state) *ecefEngine {
 		}
 	}
 	if rp.h.kind != laNone {
-		ls := &e.lookaheadSet
-		ls.neg = rp.h.kind == laMaxWT
-		ls.la = make([]laHeap, n)
-		ls.fVal = make([]float64, n)
-		ls.fTop = make([]int32, n)
-		backing := make([]laEntry, 0, n*n)
-		for j := 0; j < n; j++ {
-			if s.inA[j] {
-				continue
-			}
-			start := len(backing)
-			backing = laEntriesFor(backing, rp.h, p, j)
-			ls.la[j].es = backing[start:len(backing):len(backing)]
-			ls.la[j].heapify()
-			ls.cache(j, ls.la[j].top(s.inA))
+		e.lookaheadSet = lookaheadSet{la: laHeapsFor(rp.h, p, s.inA), cur: make([]int32, n),
+			fVal: make([]float64, n), fTop: make([]int32, n), neg: rp.h.kind == laMaxWT}
+		for _, j := range e.rc.rem {
+			e.recompute(int(j), s.inA)
 		}
 	}
 	return e

@@ -828,9 +828,10 @@ func (pl Pipelined) Name() string { return "Pipelined-" + pl.base().Name() }
 // BestContext schedules a broadcast of m bytes from root on g at every
 // ladder segment size through ep and returns the schedule with the smallest
 // makespan. Ties resolve to the earliest ladder entry (largest segments,
-// least overhead). ctx is checked before each ladder candidate, so a
-// cancelled search returns ctx's error within one rung's construction
-// time. The pool reuses the candidate caches, lookahead templates and the
+// least overhead). ctx is checked before each ladder candidate and after
+// the last, so a cancelled search returns ctx's error within one rung's
+// construction time and a search that overran ctx never returns a
+// schedule. The pool reuses the candidate caches, lookahead templates and the
 // per-matrix-identity Gs/Wl transposes across rungs and across repeated
 // searches on one platform.
 //
@@ -861,6 +862,10 @@ func (pl Pipelined) BestContext(ctx context.Context, ep *EnginePool, g *topology
 		if ss := ep.scheduleSegmented(pl.base(), sp, bound, fallback); ss != nil && (best == nil || ss.Makespan < best.Makespan) {
 			best = ss
 		}
+	}
+	// A search that overran ctx reports it, even after its last rung.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	best.Heuristic = pl.Name()
 	return best, nil

@@ -198,14 +198,18 @@ func TestServeSaturation(t *testing.T) {
 
 // TestServeDeadline drives a deliberately heavy uncached request through a
 // 1 ms deadline_ms and expects 504. no_cache keeps the context attached to
-// the build (cached builds deliberately detach it).
+// the build (cached builds deliberately detach it). The request — a
+// pipelined best-of at 16 MiB on 256 clusters — takes 40–80 ms on a fresh
+// registry, far past the deadline, and a build that finishes after its
+// deadline is refused too, so the 504 does not depend on where the
+// deadline lands inside the build.
 func TestServeDeadline(t *testing.T) {
-	reg, err := NewRegistry([]PlatformSpec{{Name: "big", Source: "random:7:40"}}, 64)
+	reg, err := NewRegistry([]PlatformSpec{{Name: "big", Source: "random:7:256"}}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(reg, Config{})
-	body := `{"platform":"big","size":4194304,"pipelined":true,"segmented_local":true,"no_cache":true,"deadline_ms":1}`
+	body := `{"platform":"big","size":16777216,"pipelined":true,"segmented_local":true,"no_cache":true,"deadline_ms":1}`
 	w := post(t, s, "/v1/plan", body)
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504 (body %s)", w.Code, w.Body)

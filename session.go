@@ -658,6 +658,11 @@ func (s *Session) planUncached(req Request) (*Plan, error) {
 			pl.trace = tr
 		}
 	}
+	// A build that overran its deadline fails even after its last
+	// candidate, so a late plan is never served as a success.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	pl.owner = s
 	pl.req = req
 	pl.req.ctx = nil // a stored context would outlive its cancellation scope
