@@ -1,6 +1,8 @@
 package gridbcast_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	gridbcast "gridbcast"
 	"gridbcast/internal/service"
 )
 
@@ -64,4 +67,65 @@ func BenchmarkServePlan(b *testing.B) {
 			return fmt.Sprintf(`{"platform":"g5k","heuristic":"ECEF-LAT","size":%d}`, 1<<20+i+1)
 		})
 	})
+}
+
+// BenchmarkEncodePlan times a served plan's wire encoding over an r128 plan
+// mix (flat paper heuristics and best-of at non-round sizes, pipelined and
+// fixed-segment plans): "json" is json.Marshal(EncodePlan(pl)), the
+// reflection-based reference, and "append" is service.MarshalPlan, the
+// encoder the handlers use. One op encodes the whole mix; both produce the
+// same bytes.
+func BenchmarkEncodePlan(b *testing.B) {
+	g, err := service.LoadGridSource("random:7:128")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ses, err := gridbcast.NewSession(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var plans []*gridbcast.Plan
+	add := func(opts ...gridbcast.Option) {
+		pl, err := ses.Plan(gridbcast.NewRequest(opts...))
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans = append(plans, pl)
+	}
+	for i, h := range gridbcast.Heuristics() {
+		add(gridbcast.WithHeuristic(h), gridbcast.WithRoot(3*i), gridbcast.WithSize(int64(200003*(i+1))))
+	}
+	add(gridbcast.WithSize(1000003))
+	add(gridbcast.WithHeuristic(gridbcast.ECEFLAT), gridbcast.WithSize(4194311), gridbcast.WithPipelined())
+	add(gridbcast.WithHeuristic(gridbcast.ECEFLA), gridbcast.WithSize(4194311), gridbcast.WithSegments(262144))
+	var bytesOut int
+	for _, pl := range plans {
+		want, err := json.Marshal(service.EncodePlan(pl))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got, err := service.MarshalPlan(pl); err != nil || !bytes.Equal(got, want) {
+			b.Fatalf("%s: MarshalPlan differs from json.Marshal(EncodePlan) (err %v)", pl.Heuristic, err)
+		}
+		bytesOut += len(want)
+	}
+	for _, enc := range []struct {
+		name   string
+		encode func(*gridbcast.Plan) ([]byte, error)
+	}{
+		{"json", func(pl *gridbcast.Plan) ([]byte, error) { return json.Marshal(service.EncodePlan(pl)) }},
+		{"append", service.MarshalPlan},
+	} {
+		b.Run(enc.name, func(b *testing.B) {
+			b.SetBytes(int64(bytesOut))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, pl := range plans {
+					if _, err := enc.encode(pl); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
 }

@@ -12,6 +12,9 @@
 // `go test -run NONE -bench <regex> -benchmem -benchtime <t>` on the module
 // root and parses its output. Lines that are not benchmark results are
 // ignored, so transcripts with metadata (goos, pkg, PASS) parse cleanly.
+// -bench, -benchtime and -count given alongside -in are recorded in the
+// snapshot as run mode records them, so a transcript recorded outside
+// benchjson (test binaries run alternately, say) still says how it ran.
 //
 // -baseline FILE embeds another benchjson snapshot — a same-machine,
 // same-session re-measurement of the PREVIOUS snapshot's code — into the
@@ -87,19 +90,31 @@ type Report struct {
 }
 
 func main() {
-	bench := flag.String("bench", ".", "benchmark regex passed to go test -bench")
-	benchtime := flag.String("benchtime", "1x", "benchtime passed to go test")
-	count := flag.Int("count", 1, "go test -count repetitions; each benchmark keeps its best run")
-	in := flag.String("in", "", "parse this transcript (\"-\" for stdin) instead of running go test")
-	out := flag.String("out", "", "output file (default stdout)")
-	baseline := flag.String("baseline", "", "benchjson snapshot re-measuring the previous snapshot's code on this machine; embedded for benchdiff's paired timing comparison")
-	baselineNote := flag.String("baseline-note", "", "provenance note stored alongside -baseline")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args, collects the results and writes the
+// report to -out, or to stdout.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	bench := fs.String("bench", ".", "benchmark regex passed to go test -bench")
+	benchtime := fs.String("benchtime", "1x", "benchtime passed to go test")
+	count := fs.Int("count", 1, "go test -count repetitions; each benchmark keeps its best run")
+	in := fs.String("in", "", "parse this transcript (\"-\" for stdin) instead of running go test; -bench, -benchtime and -count, when given, record how it was run")
+	out := fs.String("out", "", "output file (default stdout)")
+	baseline := fs.String("baseline", "", "benchjson snapshot re-measuring the previous snapshot's code on this machine; embedded for benchdiff's paired timing comparison")
+	baselineNote := fs.String("baseline-note", "", "provenance note stored alongside -baseline")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *count < 1 {
 		*count = 1
 	}
 	if *baselineNote != "" && *baseline == "" {
-		fatal(fmt.Errorf("-baseline-note given without -baseline"))
+		return fmt.Errorf("-baseline-note given without -baseline")
 	}
 
 	rep := Report{
@@ -110,76 +125,92 @@ func main() {
 	if *baseline != "" {
 		results, err := LoadResults(*baseline)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		rep.Baseline, rep.BaselineNote = results, *baselineNote
+	}
+	// The run fields: in run mode the values go test ran with; for a parsed
+	// transcript the ones given on the command line, which describe how the
+	// transcript was recorded.
+	if *in == "" {
+		rep.Bench, rep.BenchTime = *bench, *benchtime
+	} else {
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "bench":
+				rep.Bench = *bench
+			case "benchtime":
+				rep.BenchTime = *benchtime
+			}
+		})
+	}
+	if *count > 1 {
+		rep.Count = *count
 	}
 	// Results are fully collected — and, in run mode, the go test exit
 	// status checked — before the output file is touched, so a failed or
 	// partial benchmark run never clobbers an existing BENCH_*.json.
+	var err error
 	switch {
 	case *in == "-":
-		results, procs, err := Parse(os.Stdin)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Results, rep.GOMAXPROCS = results, procs
+		rep.Results, rep.GOMAXPROCS, err = Parse(stdin)
 	case *in != "":
-		f, err := os.Open(*in)
-		if err != nil {
-			fatal(err)
-		}
-		results, procs, perr := Parse(f)
-		f.Close()
-		if perr != nil {
-			fatal(perr)
-		}
-		rep.Results, rep.GOMAXPROCS = results, procs
+		rep.Results, rep.GOMAXPROCS, err = parseFile(*in)
 	default:
-		rep.Bench, rep.BenchTime = *bench, *benchtime
-		if *count > 1 {
-			rep.Count = *count
-		}
-		cmd := exec.Command("go", "test", "-run", "NONE",
-			"-bench", *bench, "-benchmem", "-benchtime", *benchtime,
-			"-count", strconv.Itoa(*count), ".")
-		cmd.Dir = moduleRoot()
-		cmd.Stderr = os.Stderr
-		pipe, err := cmd.StdoutPipe()
-		if err != nil {
-			fatal(err)
-		}
-		if err := cmd.Start(); err != nil {
-			fatal(err)
-		}
-		results, procs, perr := Parse(pipe)
-		if err := cmd.Wait(); err != nil {
-			fatal(fmt.Errorf("go test: %w", err))
-		}
-		if perr != nil {
-			fatal(perr)
-		}
-		rep.Results, rep.GOMAXPROCS = results, procs
+		rep.Results, rep.GOMAXPROCS, err = runBenchmarks(*bench, *benchtime, *count)
+	}
+	if err != nil {
+		return err
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		w = f
+	if *out == "" {
+		return writeReport(stdout, &rep)
 	}
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	if err := writeReport(f, &rep); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func writeReport(w io.Writer, rep *Report) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(&rep); err != nil {
-		fatal(err)
+	return enc.Encode(rep)
+}
+
+func parseFile(path string) ([]Result, int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
 	}
+	defer f.Close()
+	return Parse(f)
+}
+
+// runBenchmarks runs the root package's benchmarks and parses the output.
+func runBenchmarks(bench, benchtime string, count int) ([]Result, int, error) {
+	cmd := exec.Command("go", "test", "-run", "NONE",
+		"-bench", bench, "-benchmem", "-benchtime", benchtime,
+		"-count", strconv.Itoa(count), ".")
+	cmd.Dir = moduleRoot()
+	cmd.Stderr = os.Stderr
+	pipe, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := cmd.Start(); err != nil {
+		return nil, 0, err
+	}
+	results, procs, perr := Parse(pipe)
+	if err := cmd.Wait(); err != nil {
+		return nil, 0, fmt.Errorf("go test: %w", err)
+	}
+	return results, procs, perr
 }
 
 // Parse extracts benchmark results from a `go test -bench` transcript, and
@@ -301,9 +332,4 @@ func splitProcs(name string) (string, int) {
 		return name, 1
 	}
 	return name[:i], n
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchjson:", err)
-	os.Exit(1)
 }

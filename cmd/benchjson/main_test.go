@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -112,6 +113,48 @@ func TestParseRecordsGOMAXPROCS(t *testing.T) {
 	for name, want := range map[string]string{"BenchmarkX/n-x": "BenchmarkX/n-x", "BenchmarkX-": "BenchmarkX-", "BenchmarkX-+3": "BenchmarkX-+3", "BenchmarkX-16": "BenchmarkX"} {
 		if got, _ := splitProcs(name); got != want {
 			t.Errorf("splitProcs(%q) = %q, want %q", name, got, want)
+		}
+	}
+}
+
+// TestParseModeRecordsRunFlags: a transcript parsed with -in records the
+// -bench, -benchtime and -count it was recorded with when they are given,
+// as run mode does, and leaves them empty when they are not.
+func TestParseModeRecordsRunFlags(t *testing.T) {
+	dir := t.TempDir()
+	transcript := filepath.Join(dir, "bench.txt")
+	const lines = "BenchmarkFoo-2 \t 20 \t 3500 ns/op\nBenchmarkFoo-2 \t 20 \t 3011 ns/op\n"
+	if err := os.WriteFile(transcript, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want Report
+	}{
+		{[]string{"-bench", "BenchmarkFoo|BenchmarkBar", "-benchtime", "20x", "-count", "2"},
+			Report{Bench: "BenchmarkFoo|BenchmarkBar", BenchTime: "20x", Count: 2}},
+		{[]string{"-benchtime", "3x"}, Report{BenchTime: "3x"}},
+		{nil, Report{}},
+	} {
+		out := filepath.Join(dir, "out.json")
+		args := append([]string{"-in", transcript, "-out", out}, tc.args...)
+		if err := run(args, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Report
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Bench != tc.want.Bench || got.BenchTime != tc.want.BenchTime || got.Count != tc.want.Count {
+			t.Errorf("%q: bench %q benchtime %q count %d, want %q %q %d", tc.args,
+				got.Bench, got.BenchTime, got.Count, tc.want.Bench, tc.want.BenchTime, tc.want.Count)
+		}
+		if got.GOMAXPROCS != 2 || len(got.Results) != 1 || got.Results[0].NsPerOp != 3011 {
+			t.Errorf("%q: results %+v at GOMAXPROCS %d", tc.args, got.Results, got.GOMAXPROCS)
 		}
 	}
 }

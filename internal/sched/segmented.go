@@ -115,10 +115,6 @@ func (sp *SegmentedProblem) laProblem() *Problem {
 // extends the pipeline below the coordinators (see DESIGN.md §7 and the
 // Options field).
 func NewSegmentedProblem(g *topology.Grid, root int, m, segSize int64, opt Options) (*SegmentedProblem, error) {
-	p, err := NewProblem(g, root, m, opt)
-	if err != nil {
-		return nil, err
-	}
 	if segSize <= 0 {
 		return nil, fmt.Errorf("sched: segment size %d must be positive", segSize)
 	}
@@ -128,15 +124,20 @@ func NewSegmentedProblem(g *topology.Grid, root int, m, segSize int64, opt Optio
 	k := 1
 	last := m
 	if m > segSize {
-		k = int((m + segSize - 1) / segSize)
+		k = int((m-1)/segSize + 1) // ceil(m/segSize) without overflowing near MaxInt64
 		last = m - int64(k-1)*segSize
 	}
 	// The exact state is O(N·K) in time and memory, so an adversarial
 	// segSize (say 1 byte of a 16 MB message) must be rejected here, where
-	// untrusted sizes enter — not just skipped by the ladder search.
+	// untrusted sizes enter — not just skipped by the ladder search — and
+	// before NewProblem costs the O(N²) matrices.
 	if k > MaxSegments {
 		return nil, fmt.Errorf("sched: %d-byte segments split a %d-byte message into %d segments (max %d)",
 			segSize, m, k, MaxSegments)
+	}
+	p, err := NewProblem(g, root, m, opt)
+	if err != nil {
+		return nil, err
 	}
 	sp := &SegmentedProblem{
 		Problem:  p,
@@ -794,7 +795,7 @@ func DefaultSegmentLadder(m int64) []int64 {
 		if s >= m {
 			continue
 		}
-		if (m+s-1)/s > MaxSegments {
+		if (m-1)/s+1 > MaxSegments { // ceil(m/s), overflow-free
 			break
 		}
 		ladder = append(ladder, s)

@@ -271,3 +271,22 @@ func TestDefaultSegmentLadder(t *testing.T) {
 		t.Fatalf("small-message ladder = %v", got)
 	}
 }
+
+// TestSegmentCountRejectedBeforeCosting: a segment count over MaxSegments,
+// including one whose ceil(m/s) would overflow int64 near MaxInt64, is
+// refused without costing the grid, and the ladder of a 2⁶³−1-byte message
+// is the unsegmented rung alone.
+func TestSegmentCountRejectedBeforeCosting(t *testing.T) {
+	if got := DefaultSegmentLadder(math.MaxInt64); len(got) != 1 || got[0] != math.MaxInt64 {
+		t.Fatalf("ladder of a MaxInt64-byte message = %v", got)
+	}
+	g := topology.Grid5000()
+	for _, tc := range []struct{ m, seg int64 }{{1 << 20, 1}, {math.MaxInt64, 2}, {math.MaxInt64, 4096}} {
+		if _, err := NewSegmentedProblem(g, 0, tc.m, tc.seg, Options{}); err == nil {
+			t.Errorf("%d-byte segments of %d bytes accepted", tc.seg, tc.m)
+		}
+	}
+	if st := g.CostStats(); st.Sizes != 0 {
+		t.Errorf("rejected segmentations costed %d sizes", st.Sizes)
+	}
+}

@@ -136,7 +136,10 @@ type PlanJSON struct {
 	Segmented      *SegmentedJSON  `json:"segmented,omitempty"`
 }
 
-// EncodePlan translates a facade plan to its wire form.
+// EncodePlan translates a facade plan to its wire form. The handlers do not
+// call it: they write plans with AppendPlan, whose bytes equal
+// json.Marshal(EncodePlan(pl)) without reflection. PlanJSON and EncodePlan
+// stay as the schema and as the reference AppendPlan is tested against.
 func EncodePlan(pl *gridbcast.Plan) *PlanJSON {
 	out := &PlanJSON{
 		Heuristic:      pl.Heuristic,

@@ -247,13 +247,17 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, planStatus(err), err.Error())
 		return
 	}
-	encode := func() ([]byte, error) { return json.Marshal(EncodePlan(pl)) }
 	var planJSON []byte
 	if outcome == gridbcast.PlanHit {
 		// Only a hit fills the memo: a plan requested once keeps no bytes.
-		planJSON, err = pl.WireBytes(encode)
+		// The memo lives as long as the plan, so it keeps an exact-size
+		// copy rather than MarshalPlan's estimated capacity.
+		planJSON, err = pl.WireBytes(func() ([]byte, error) {
+			b, err := MarshalPlan(pl)
+			return bytes.Clone(b), err
+		})
 	} else {
-		planJSON, err = encode()
+		planJSON, err = MarshalPlan(pl)
 	}
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "encode plan: "+err.Error())
@@ -340,7 +344,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		reqs[i] = gridbcast.NewRequest(opts...)
 	}
 	start := time.Now()
-	plans, _ := p.Session.PlanBatch(reqs)
+	plans, batchErr := p.Session.PlanBatch(reqs)
 	elapsed := time.Since(start)
 	if err := ctx.Err(); err != nil && allNil(plans) {
 		// The whole batch died on the transport deadline or a client
@@ -348,32 +352,89 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, planStatus(err), err.Error())
 		return
 	}
-	resp := BatchResponse{
+	// Marshalling the head cannot fail: its fields are strings, an integer
+	// and a finite duration.
+	head, _ := json.Marshal(BatchResponse{
 		Platform:   p.Name,
 		Generation: p.Generation,
 		ElapsedUS:  us(elapsed),
-		Plans:      make([]*PlanJSON, len(plans)),
-		Errors:     make([]*string, len(plans)),
-	}
-	for i, pl := range plans {
-		if pl != nil {
-			resp.Plans[i] = EncodePlan(pl)
-			continue
-		}
-		// PlanBatch reports per-slot failures through a joined error;
-		// re-planning the failed slot reproduces its error directly (all
-		// failure paths — validation, dead context — return without
-		// building).
-		_, slotErr := p.Session.Plan(reqs[i])
-		msg := "planning failed"
-		if slotErr != nil {
-			msg = slotErr.Error()
-		}
-		resp.Errors[i] = &msg
+	})
+	body, err := appendBatchBody(head, plans, slotMessages(batchErr, len(plans)))
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "encode plan: "+err.Error())
+		return
 	}
 	s.metrics.Observe(p.Name, "batch", "batch", elapsed)
 	s.metrics.Counters().OK.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
+}
+
+// slotMessages reads each failed slot's message from PlanBatch's joined
+// error, so no failed slot is planned a second time to recover it. A slot
+// the error does not name reads "planning failed".
+func slotMessages(err error, slots int) []string {
+	msgs := make([]string, slots)
+	for i := range msgs {
+		msgs[i] = "planning failed"
+	}
+	joined, _ := err.(interface{ Unwrap() []error })
+	if joined == nil {
+		return msgs
+	}
+	for _, e := range joined.Unwrap() {
+		var se *gridbcast.SlotError
+		if errors.As(e, &se) && se.Slot >= 0 && se.Slot < slots {
+			msgs[se.Slot] = se.Err.Error()
+		}
+	}
+	return msgs
+}
+
+// appendBatchBody builds a 200 BatchResponse body from head, the response
+// marshalled with nil Plans and Errors, and the per-slot results: each
+// plan's AppendPlan bytes, or the slot's error message. The body is byte
+// for byte what json.Encoder writes for the full response, trailing newline
+// included.
+func appendBatchBody(head []byte, plans []*gridbcast.Plan, msgs []string) ([]byte, error) {
+	head = bytes.TrimSuffix(head, []byte(`null,"errors":null}`))
+	size := len(head) + 32
+	for i, pl := range plans {
+		if pl != nil {
+			size += planWireSize(pl)
+		} else {
+			size += len(msgs[i]) + 8
+		}
+	}
+	b := append(make([]byte, 0, size), head...)
+	b = append(b, '[')
+	var err error
+	for i, pl := range plans {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if pl == nil {
+			b = append(b, "null"...)
+			continue
+		}
+		if b, err = AppendPlan(b, pl); err != nil {
+			return nil, err
+		}
+	}
+	b = append(b, `],"errors":[`...)
+	for i, pl := range plans {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if pl != nil {
+			b = append(b, "null"...)
+		} else {
+			b = appendString(b, msgs[i])
+		}
+	}
+	return append(b, "]}\n"...), nil
 }
 
 func allNil(plans []*gridbcast.Plan) bool {

@@ -443,3 +443,102 @@ func TestGracefulDrain(t *testing.T) {
 // BenchmarkServePlan lives in the root package's bench suite
 // (bench_service_test.go) so the benchjson/benchdiff snapshot chain —
 // which benchmarks the module root — picks it up.
+
+// planRequestFields and batchRequestFields are the JSON names the strict
+// decoder accepts (encoding/json matches them case-insensitively).
+var (
+	planRequestFields = []string{"platform", "heuristic", "root", "size", "segment_size", "pipelined",
+		"segmented_local", "refine", "overlap", "no_cache", "deadline_ms"}
+	batchRequestFields = []string{"platform", "deadline_ms", "requests"}
+)
+
+// checkKnownFields fails unless every key of the JSON object body is one of
+// fields; nested batch requests are checked against planRequestFields.
+func checkKnownFields(t *testing.T, body []byte, fields []string) {
+	t.Helper()
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(body, &obj); err != nil {
+		return // null, or not an object the decoder filled by key
+	}
+	for key, val := range obj {
+		known := false
+		for _, f := range fields {
+			known = known || strings.EqualFold(key, f)
+		}
+		if !known {
+			t.Fatalf("decoder accepted unknown field %q in %q", key, body)
+		}
+		if strings.EqualFold(key, "requests") {
+			var items []json.RawMessage
+			if json.Unmarshal(val, &items) == nil {
+				for _, it := range items {
+					checkKnownFields(t, it, planRequestFields)
+				}
+			}
+		}
+	}
+}
+
+// FuzzDecodePlanRequest drives the strict request decoder over arbitrary
+// /v1/plan and /v1/plan/batch bodies. It must never panic. A body it
+// accepts holds only known field names, and the same body followed by more
+// data is rejected. Run through the whole handler, a request refused as a
+// 4xx leaves the platform's cost store untouched: no O(N²) work happens
+// before a request is known to be good.
+func FuzzDecodePlanRequest(f *testing.F) {
+	for _, seed := range []struct {
+		body  string
+		batch bool
+	}{
+		{`{"platform":"r","heuristic":"ECEF-LAT","root":1,"size":1048576}`, false},
+		{`{"platform":"r","size":4194304,"segment_size":262144,"segmented_local":true}`, false},
+		{`{"platform":"r","size":1048576,"pipelined":true,"no_cache":true}`, false},
+		{`{"platform":"r","heuristic":"FEF","size":65536,"refine":2,"overlap":true}`, false},
+		{`{"platform":"r","size":1048576,"segment_size":1}`, false},
+		{`{"platform":"r","size":9223372036854775807,"pipelined":true}`, false},
+		{`{"platform":"r","size":1,"bogus":true}`, false},
+		{`{"platform":"r","size":1}{"platform":"r"}`, false},
+		{`{"PLATFORM":"r","Size":7}`, false},
+		{`null`, false},
+		{`{"platform":"r","requests":[{"size":65536},{"size":-1},{"size":1048576,"segment_size":1}]}`, true},
+		{`{"platform":"r","requests":[{"size":1,"platform":"r"}]}`, true},
+		{`{"platform":"r","requests":[{"size":1,"extra":0}]}`, true},
+		{`{"platform":"r","requests":[]}`, true},
+	} {
+		f.Add(seed.body, seed.batch)
+	}
+	reg, err := NewRegistry([]PlatformSpec{{Name: "r", Source: "random:3:32"}}, 256)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := New(reg, Config{})
+	p, _ := reg.Lookup("r")
+	// Warm the session so the one-time fingerprint is not charged to the
+	// first fuzzed request.
+	p.Session.Fingerprint()
+	f.Fuzz(func(t *testing.T, body string, batch bool) {
+		path, fields := "/v1/plan", planRequestFields
+		var v any = &PlanRequest{}
+		if batch {
+			path, fields = "/v1/plan/batch", batchRequestFields
+			v = &BatchRequest{}
+		}
+		decode := func(b string) error {
+			w := httptest.NewRecorder()
+			return s.decodeBody(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(b)), v)
+		}
+		if decode(body) == nil {
+			checkKnownFields(t, []byte(body), fields)
+			if decode(body+`{}`) == nil {
+				t.Fatalf("decoder accepted trailing data after %q", body)
+			}
+		}
+		before := p.Session.CostStats()
+		w := post(t, s, path, body)
+		if w.Code >= 400 && w.Code < 500 {
+			if after := p.Session.CostStats(); after != before {
+				t.Fatalf("status %d for %q, yet the cost store changed: %+v -> %+v", w.Code, body, before, after)
+			}
+		}
+	})
+}

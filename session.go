@@ -729,7 +729,8 @@ func (s *Session) buildOne(ctx context.Context, ep *sched.EnginePool, h Heuristi
 // identical at any worker count: each slot is computed independently and
 // written exactly once, the ordered-fold determinism pattern of the
 // Monte-Carlo sweeps (PR 3). Failed requests leave a nil slot; the returned
-// error joins the per-request errors (nil when all requests planned).
+// error joins one *SlotError per failed request (nil when all requests
+// planned).
 //
 // Each slot routes through Plan, so on a caching session a batch holding
 // duplicate requests collapses them to a single build — whichever slot
@@ -768,12 +769,28 @@ func (s *Session) PlanBatch(reqs []Request) ([]*Plan, error) {
 	var failed []error
 	for i, err := range errs {
 		if err != nil {
-			// The inner errors carry the package prefix already.
-			failed = append(failed, fmt.Errorf("request %d: %w", i, err))
+			failed = append(failed, &SlotError{Slot: i, Err: err})
 		}
 	}
 	return plans, errors.Join(failed...)
 }
+
+// SlotError is one failed slot of Session.PlanBatch: the joined error
+// PlanBatch returns holds one *SlotError per failed request, in slot order,
+// so a caller reads each slot's cause without planning it again.
+type SlotError struct {
+	// Slot is the index of the failed request.
+	Slot int
+	// Err is the error Plan returned for it.
+	Err error
+}
+
+// Error reads "request <slot>: <cause>"; the cause carries the package
+// prefix already.
+func (e *SlotError) Error() string { return fmt.Sprintf("request %d: %v", e.Slot, e.Err) }
+
+// Unwrap returns the slot's cause, for errors.Is and errors.As.
+func (e *SlotError) Unwrap() error { return e.Err }
 
 // Execute runs the plan message-by-message (segment-by-segment for
 // pipelined plans) on the discrete-event virtual grid and returns the

@@ -236,6 +236,10 @@ func TestPlanBatchDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "request 2") {
 		t.Fatalf("batch error = %v, want indexed failure", err)
 	}
+	var se *gridbcast.SlotError
+	if !errors.As(err, &se) || se.Slot != 2 || !strings.HasPrefix(se.Err.Error(), "gridbcast: root -1") {
+		t.Fatalf("batch error holds slot error %+v, want slot 2's root error", se)
+	}
 	if plans[0] == nil || plans[1] == nil || plans[2] != nil {
 		t.Error("batch slots inconsistent with per-request outcomes")
 	}
