@@ -159,16 +159,17 @@ func coordEndpoint(g *topology.Grid, c int) int {
 	return e
 }
 
-// FaultPlan realises the scenario against a concrete schedule:
+// FaultPlan realises the scenario against a concrete plan, given by its
+// scheduled transmissions and predicted makespan (whole-message and
+// pipelined plans alike):
 //
 //   - the drift becomes Degrade entries on every wide-area coordinator link
 //     touching the drifted cluster, active from time 0 (the drift happened
 //     between measuring and running, exactly the paper's §7 situation);
 //   - LossDrops becomes a Loss rule on the root's first scheduled link;
 //   - crashFrac >= 0 crashes CrashCluster's coordinator at that fraction of
-//     the schedule's predicted makespan (a negative fraction injects no
-//     crash).
-func (s ChaosScenario) FaultPlan(sc *sched.Schedule, crashFrac float64) *vnet.FaultPlan {
+//     the predicted makespan (a negative fraction injects no crash).
+func (s ChaosScenario) FaultPlan(events []sched.Event, makespan, crashFrac float64) *vnet.FaultPlan {
 	fp := &vnet.FaultPlan{}
 	g := s.Grid
 	dc := s.Drift.Cluster
@@ -183,8 +184,8 @@ func (s ChaosScenario) FaultPlan(sc *sched.Schedule, crashFrac float64) *vnet.Fa
 			vnet.Degrade{From: to, To: from, GapScale: s.Drift.InGapScale, LatScale: s.Drift.InLatScale},
 		)
 	}
-	if s.LossDrops > 0 && len(sc.Events) > 0 {
-		ev := sc.Events[0]
+	if s.LossDrops > 0 && len(events) > 0 {
+		ev := events[0]
 		fp.Loss = append(fp.Loss, vnet.Loss{
 			From:  coordEndpoint(g, ev.From),
 			To:    coordEndpoint(g, ev.To),
@@ -194,7 +195,7 @@ func (s ChaosScenario) FaultPlan(sc *sched.Schedule, crashFrac float64) *vnet.Fa
 	if crashFrac >= 0 {
 		fp.Crashes = append(fp.Crashes, vnet.Crash{
 			Node: coordEndpoint(g, s.CrashCluster),
-			At:   crashFrac * sc.Makespan,
+			At:   crashFrac * makespan,
 		})
 	}
 	return fp
@@ -223,7 +224,7 @@ func Chaos(cfg ChaosConfig) (*Figure, error) {
 			p := sched.MustProblem(s.Grid, s.Root, cfg.msgSize(), sched.Options{})
 			sc := s.Heuristic.Schedule(p)
 			res, err := mpi.ExecuteSchedule(s.Grid, sc, cfg.msgSize(), mpi.Options{
-				Net: vnet.Config{Faults: s.FaultPlan(sc, frac)},
+				Net: vnet.Config{Faults: s.FaultPlan(sc.Events, sc.Makespan, frac)},
 			})
 			if err != nil {
 				return nil, fmt.Errorf("experiment: chaos scenario %d (frac %g): %w", s.Index, frac, err)

@@ -18,7 +18,7 @@ func mustProblem(t *testing.T, s ChaosScenario) *sched.Problem {
 func executeChaos(t *testing.T, cfg ChaosConfig, s ChaosScenario, sc *sched.Schedule, frac float64) *mpi.Result {
 	t.Helper()
 	res, err := mpi.ExecuteSchedule(s.Grid, sc, cfg.msgSize(), mpi.Options{
-		Net: vnet.Config{Faults: s.FaultPlan(sc, frac)},
+		Net: vnet.Config{Faults: s.FaultPlan(sc.Events, sc.Makespan, frac)},
 	})
 	if err != nil {
 		t.Fatalf("scenario %d: %v", s.Index, err)
@@ -146,5 +146,39 @@ func TestChaosFigure(t *testing.T) {
 	// Later crashes reach at least as many nodes as earlier ones.
 	if rate.Points[1].Y < rate.Points[0].Y {
 		t.Errorf("completion rate fell with a later crash: %+v", rate.Points)
+	}
+}
+
+// TestChaosPipelinedPlans runs the scenario set on pipelined plans (1 MiB
+// in 128 KiB segments, streaming local phases where the model prefers
+// them) under the same fault plans: every run terminates with an honest
+// report, an early crash leaves its cluster incomplete, and without the
+// crash drift and loss lose no node.
+func TestChaosPipelinedPlans(t *testing.T) {
+	for _, cfg := range []ChaosConfig{{Seed: 3, Trials: 4}, {Seed: 5, Trials: 4, N: 6}} {
+		for _, s := range cfg.Scenarios() {
+			sp := sched.MustSegmentedProblem(s.Grid, s.Root, cfg.msgSize(), 128<<10, sched.Options{SegmentedLocal: true})
+			ss := sched.ScheduleSegmented(s.Heuristic, sp)
+			run := func(frac float64) *mpi.Result {
+				res, err := mpi.ExecuteSegmentedSchedule(s.Grid, ss, mpi.Options{
+					Net: vnet.Config{Faults: s.FaultPlan(ss.Events, ss.Makespan, frac)},
+				})
+				if err != nil {
+					t.Fatalf("seed %d scenario %d (crash at %g): %v", cfg.Seed, s.Index, frac, err)
+				}
+				return res
+			}
+			total := s.Grid.TotalNodes()
+			res := run(0.1)
+			if res.NodesReached <= 0 || res.NodesReached > total {
+				t.Errorf("seed %d scenario %d: reached %d of %d nodes", cfg.Seed, s.Index, res.NodesReached, total)
+			}
+			if res.Completed[s.CrashCluster] && s.Grid.Clusters[s.CrashCluster].Nodes > 1 {
+				t.Errorf("seed %d scenario %d: crashed cluster %d reported complete", cfg.Seed, s.Index, s.CrashCluster)
+			}
+			if full := run(-1); full.NodesReached != total {
+				t.Errorf("seed %d scenario %d: crash-free run reached %d of %d nodes", cfg.Seed, s.Index, full.NodesReached, total)
+			}
+		}
 	}
 }

@@ -50,16 +50,6 @@ func (s Shape) String() string {
 	}
 }
 
-// ParseShape converts a name produced by String back to a Shape.
-func ParseShape(name string) (Shape, error) {
-	for _, s := range Shapes {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("intracluster: unknown shape %q", name)
-}
-
 // Tree is a rooted broadcast tree over nodes 0..P-1 with node 0 as root.
 // Children are listed in send order: the root transmits to Children[0][0]
 // first, then Children[0][1], and so on; order matters under the gap model

@@ -235,23 +235,6 @@ func TestExecuteCancelled(t *testing.T) {
 	}
 }
 
-// TestSegmentedRejectsLossAndCrashFaults: the segment-streaming executor has
-// no recovery protocol, so loss/crash plans are refused up front (degradation
-// is allowed).
-func TestSegmentedRejectsLossAndCrashFaults(t *testing.T) {
-	g := topology.Grid5000()
-	ss, err := sched.Pipelined{Base: sched.ECEFLAT()}.BestContext(context.Background(), sched.NewEnginePool(), g, 0, 1<<20, sched.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := Options{Net: vnet.Config{Faults: &vnet.FaultPlan{
-		Loss: []vnet.Loss{{From: 0, To: 1, Drops: 1}},
-	}}}
-	if _, err := ExecuteSegmentedSchedule(g, ss, bad); err == nil {
-		t.Error("segmented executor accepted a loss fault plan")
-	}
-}
-
 // TestExecuteScheduleRejectsInvalidNet: network configuration errors surface
 // as errors, not panics.
 func TestExecuteScheduleRejectsInvalidNet(t *testing.T) {

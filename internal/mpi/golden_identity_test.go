@@ -24,8 +24,9 @@ import (
 // Re-record with GOLDEN_PRINT=1 go test -run TestGoldenByteIdentity ./internal/mpi/
 // only when a change is *supposed* to alter executed timing.
 const (
-	goldenFaultFreeFT = "2fd1fadfa57a4dd0"
-	goldenFaulted     = "06e0eb806746106f"
+	goldenFaultFreeFT      = "2fd1fadfa57a4dd0"
+	goldenFaulted          = "06e0eb806746106f"
+	goldenFaultedPipelined = "f1f1413982b58175"
 )
 
 // goldenHash folds a Result into a digest that is sensitive to every bit of
@@ -111,6 +112,54 @@ func goldenRuns() (faultFree, faulted *Result, err error) {
 	return faultFree, faulted, nil
 }
 
+// goldenFaultedPipelinedRun executes the faulted scenario of goldenRuns on
+// a pipelined plan with streaming local phases (4 MiB in 256 KiB segments).
+// The crash lands halfway through the victim's stream, so its destinations
+// re-parent holding part of it, and the lossy link loses one segment for
+// good and delays the next.
+func goldenFaultedPipelinedRun() (*Result, error) {
+	g := topology.Grid5000()
+	ss := sched.ScheduleSegmented(sched.ECEFLAT(), sched.MustSegmentedProblem(g, 0, 4<<20, 256<<10, sched.Options{SegmentedLocal: true}))
+	victim := ss.Events[0].To
+	lossy := ss.Events[1]
+	degraded := ss.Events[len(ss.Events)-1]
+	opt := Options{Net: vnet.Config{Faults: &vnet.FaultPlan{
+		Crashes: []vnet.Crash{{Node: coordEndpoint(g, victim), At: (ss.FirstRT[victim] + ss.RT[victim]) / 2}},
+		Loss: []vnet.Loss{{
+			From: coordEndpoint(g, lossy.From), To: coordEndpoint(g, lossy.To),
+			After: 0, Drops: 6,
+		}},
+		Degrade: []vnet.Degrade{{
+			From: coordEndpoint(g, degraded.From), To: coordEndpoint(g, degraded.To),
+			After: 0, GapScale: 1.5, LatScale: 4,
+		}},
+	}}}
+	res, err := ExecuteSegmentedSchedule(g, ss, opt)
+	if err != nil {
+		return nil, fmt.Errorf("faulted pipelined run: %v", err)
+	}
+	return res, nil
+}
+
+// TestGoldenFaultedPipelined pins the faulted pipelined run to its
+// recorded digest.
+func TestGoldenFaultedPipelined(t *testing.T) {
+	res, err := goldenFaultedPipelinedRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := goldenHash(res)
+	if os.Getenv("GOLDEN_PRINT") != "" {
+		t.Logf("goldenFaultedPipelined = %q", got)
+	}
+	if got != goldenFaultedPipelined {
+		t.Errorf("faulted pipelined digest drifted: got %s, want %s\n"+
+			"makespan=%v reached=%d retries=%d reparents=%d lost=%d",
+			got, goldenFaultedPipelined,
+			res.Makespan, res.NodesReached, res.Retries, res.Reparents, res.Lost)
+	}
+}
+
 // TestGoldenByteIdentity pins both runs to their recorded digests. Any bit
 // of drift in any produced float64 fails this test.
 func TestGoldenByteIdentity(t *testing.T) {
@@ -134,11 +183,11 @@ func TestGoldenByteIdentity(t *testing.T) {
 	}
 }
 
-// TestGoldenByteIdentitySharedPool executes the golden runs from several
-// goroutines at once at GOMAXPROCS 4. Their Envs then share the sim
-// kernel's pool of coroutine workers, handing workers between goroutines
-// mid-sweep; every run must still reproduce the recorded digests. Run it
-// under -race to check the pool's hand-offs.
+// TestGoldenByteIdentitySharedPool executes the golden runs (the faulted
+// pipelined one included) from several goroutines at once at GOMAXPROCS 4.
+// Their Envs then share the sim kernel's pool of coroutine workers, handing
+// workers between goroutines mid-sweep; every run must still reproduce the
+// recorded digests. Run it under -race to check the pool's hand-offs.
 func TestGoldenByteIdentitySharedPool(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const goroutines, rounds = 6, 3
@@ -150,6 +199,11 @@ func TestGoldenByteIdentitySharedPool(t *testing.T) {
 			defer wg.Done()
 			for range rounds {
 				faultFree, faulted, err := goldenRuns()
+				if err != nil {
+					errs <- err
+					continue
+				}
+				pipelined, err := goldenFaultedPipelinedRun()
 				switch {
 				case err != nil:
 					errs <- err
@@ -157,6 +211,8 @@ func TestGoldenByteIdentitySharedPool(t *testing.T) {
 					errs <- fmt.Errorf("fault-free FT digest drifted: got %s, want %s", goldenHash(faultFree), goldenFaultFreeFT)
 				case goldenHash(faulted) != goldenFaulted:
 					errs <- fmt.Errorf("faulted digest drifted: got %s, want %s", goldenHash(faulted), goldenFaulted)
+				case goldenHash(pipelined) != goldenFaultedPipelined:
+					errs <- fmt.Errorf("faulted pipelined digest drifted: got %s, want %s", goldenHash(pipelined), goldenFaultedPipelined)
 				}
 			}
 		}()

@@ -37,7 +37,8 @@ type Options struct {
 	IntraShape intracluster.Shape
 	// Net configures network non-idealities (jitter, software overhead,
 	// faults). The zero value reproduces analytic predictions exactly; a
-	// non-empty Net.Faults plan arms ExecuteSchedule's receive deadlines.
+	// non-empty Net.Faults plan arms the receive deadlines and repairs of
+	// every scheduled execution (see stream.go).
 	Net vnet.Config
 	// Overlap names the completion model the schedule was built under
 	// (sched.Options.Overlap). It only affects the pre-execution schedule
@@ -90,12 +91,36 @@ func ExecuteSchedule(g *topology.Grid, sc *sched.Schedule, m int64, opt Options)
 	if err := sc.Validate(prob); err != nil {
 		return nil, fmt.Errorf("mpi: refusing invalid schedule: %w", err)
 	}
-	sends := sendLists(g.N(), sc.Events)
-	return run(g, sched.Layout(g, 0), opt, " (lost message?)", func(w *world) func() {
-		ex := newWholeExec(w, sc, sends, m, opt)
-		w.spawnNodes(ex.node)
-		return ex.finish
-	})
+	return execute(g, stream{
+		root: sc.Root, wide: parts{1, m, m}, m: m, sends: sendLists(g.N(), sc.Events),
+		rt: sc.RT, completion: sc.Completion, makespan: sc.Makespan,
+	}, opt, " (lost message?)")
+}
+
+// ExecuteSegmentedSchedule runs the pipelined inter-cluster schedule ss
+// (plus per-cluster local broadcasts, streamed where the schedule says so)
+// on grid g. The schedule must be valid for the grid, message size and
+// segmentation.
+func ExecuteSegmentedSchedule(g *topology.Grid, ss *sched.SegmentedSchedule, opt Options) (*Result, error) {
+	sp, err := sched.NewSegmentedProblem(g, ss.Root, ss.MsgSize, ss.SegSize,
+		sched.Options{IntraShape: opt.IntraShape, Overlap: opt.Overlap, SegmentedLocal: ss.LocalSeg})
+	if err != nil {
+		return nil, err
+	}
+	if err := ss.Validate(sp); err != nil {
+		return nil, fmt.Errorf("mpi: refusing invalid segmented schedule: %w", err)
+	}
+	if err := opt.Net.Validate(g.TotalNodes()); err != nil {
+		return nil, err
+	}
+	st := stream{
+		root: ss.Root, wide: parts{sp.K, sp.SegSize, sp.LastSize}, m: ss.MsgSize, sends: sendLists(g.N(), ss.Events),
+		rt: ss.RT, completion: ss.Completion, makespan: ss.Makespan,
+	}
+	if ss.LocalSeg {
+		st.localSeg = ss.LocalSegmented
+	}
+	return execute(g, st, opt, " (lost segment?)")
 }
 
 // ExecuteBinomialGridUnaware runs the grid-unaware binomial broadcast (the
