@@ -148,12 +148,13 @@ type repairJob struct {
 
 // receiver is one process's receive state: its endpoint, the tag and cut
 // of the stream it gets (TagInter at a coordinator), the next piece it is
-// missing and, under a fault plan, its deadline and the repairs it has
-// spent.
+// missing, the latest arrival among the pieces it took and, under a fault
+// plan, its deadline and the repairs it has spent.
 type receiver struct {
 	e, tag   int
 	ps       parts
 	next     int
+	at       float64
 	deadline float64
 	attempt  int
 }
@@ -252,8 +253,9 @@ func (ex *streamExec) local(p *sim.Proc, c, r int) {
 // recvThrough blocks until rv holds piece q (false: rv gave up). It asks
 // for the next piece rv misses and drops the older copies a repair left
 // behind. Arrival times are stamped at delivery, even when the process was
-// busy forwarding; the last piece's arrival is when the process holds the
-// message.
+// busy forwarding; the process holds the message at the latest arrival of
+// its pieces, which is not the last piece's when jitter reorders the
+// stream or a repair fills a gap that later pieces had already passed.
 func (ex *streamExec) recvThrough(p *sim.Proc, rv *receiver, q int) bool {
 	for rv.next <= q {
 		tag, next := rv.tag, rv.next
@@ -268,10 +270,11 @@ func (ex *streamExec) recvThrough(p *sim.Proc, rv *receiver, q int) bool {
 			continue
 		}
 		rv.next++
+		rv.at = max(rv.at, msg.ArrivedAt)
 		if rv.next < rv.ps.n {
 			continue
 		}
-		c, at := ex.layout[rv.e].Cluster, msg.ArrivedAt
+		c, at := ex.layout[rv.e].Cluster, rv.at
 		if rv.tag == TagInter {
 			ex.res.CoordinatorArrival[c] = at
 		}

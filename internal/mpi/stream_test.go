@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gridbcast/internal/sched"
+	"gridbcast/internal/sim"
 	"gridbcast/internal/stats"
 	"gridbcast/internal/topology"
 	"gridbcast/internal/vnet"
@@ -70,6 +71,45 @@ func TestReorderedSegmentsAreReassembled(t *testing.T) {
 	}
 }
 
+// TestStreamStampsLatestArrival: a coordinator sent segments 2, 0, 1, in
+// that order, holds the message when segment 1 lands, not when the last
+// segment does; armed or not, its arrival and completion are stamped then.
+func TestStreamStampsLatestArrival(t *testing.T) {
+	g := topology.Grid5000()
+	const size = 64 << 10
+	for _, armed := range []bool{false, true} {
+		var held float64
+		res, err := run(g, sched.Layout(g, 0), Options{}, "", func(w *world) func() {
+			ps := parts{3, size, size}
+			ex := &streamExec{world: w, stream: stream{wide: ps}}
+			if armed {
+				ex.have = make([]bool, len(w.layout))
+			}
+			from, to := w.offsets[0], w.offsets[1]
+			w.env.Spawn(from, func(p *sim.Proc) {
+				for _, q := range []int{2, 0, 1} {
+					w.nw.SendSeg(p, from, to, size, q, TagInter, nil)
+				}
+			}, w.procName)
+			w.env.Spawn(to, func(p *sim.Proc) {
+				rv := receiver{e: to, tag: TagInter, ps: ps, deadline: math.Inf(1)}
+				if !ex.recvThrough(p, &rv, ps.n-1) {
+					t.Error("receiver gave up")
+				}
+				held = p.Now()
+			}, w.procName)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CoordinatorArrival[1] != held || res.ClusterCompletion[1] != held {
+			t.Errorf("armed %v: arrival %g, completion %g; the last segment needed landed at %g",
+				armed, res.CoordinatorArrival[1], res.ClusterCompletion[1], held)
+		}
+	}
+}
+
 // TestPipelinedLossRedelivery: two lost attempts of the first segment on
 // the root's first link are redelivered by the link layer. At 16 KiB the
 // segments behind it overtake it and wait; the run reaches every node with
@@ -118,6 +158,12 @@ func TestPipelinedPermanentSegmentLoss(t *testing.T) {
 	}
 	if res.Reparents == 0 {
 		t.Error("a permanently lost segment produced no reparent")
+	}
+	// The receiver's later segments arrived on time; it holds the message
+	// only once the repaired first segment lands, past its deadline.
+	if deadline := ss.RT[first.To] + max(ftSlack*ss.Makespan, ftMinSlack); res.CoordinatorArrival[first.To] <= deadline {
+		t.Errorf("coordinator %d stamped at %g, before its repair could land (deadline %g)",
+			first.To, res.CoordinatorArrival[first.To], deadline)
 	}
 	if res.Makespan <= ss.Makespan {
 		t.Errorf("repaired makespan %g not above prediction %g", res.Makespan, ss.Makespan)
