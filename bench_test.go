@@ -372,9 +372,14 @@ func BenchmarkSegmentedSchedule(b *testing.B) {
 // Pipelined.BestContext, on one engine pool held across searches as a
 // Session holds its pools. n=6 is GRID5000, below segEngineMinN (naive
 // pickers); n=128 is the daemon's random:7:128 platform, where the
-// incremental engine builds and the incumbent cut abandons most rungs.
+// incremental engine builds and the incumbent cut abandons most rungs;
+// n=512 is the large-grid tip.
 func BenchmarkPipelinedLadder(b *testing.B) {
-	for _, g := range []*topology.Grid{topology.Grid5000(), topology.RandomGrid(stats.NewRand(7), 128)} {
+	for _, g := range []*topology.Grid{
+		topology.Grid5000(),
+		topology.RandomGrid(stats.NewRand(7), 128),
+		topology.RandomGrid(stats.NewRand(1), 512),
+	} {
 		b.Run(fmt.Sprintf("n=%d", g.N()), func(b *testing.B) {
 			ep := sched.NewEnginePool()
 			for i := 0; i < b.N; i++ {
@@ -466,33 +471,6 @@ func BenchmarkTracedBuild(b *testing.B) {
 				sched.ScheduleTraced(ep, sched.ECEFLAT(), p)
 			}
 		})
-	}
-}
-
-// BenchmarkParallelBuild measures single-schedule construction latency with
-// the per-round receiver scans sharded across a scan pool (EnginePool.Scan)
-// spawned and closed per build — the regime where one large construction
-// is the unit of work. One engine pool is held across builds, as a Session
-// holds its pools. workers=1 is the sequential incremental engine baseline;
-// the schedules are bit-identical at every worker count.
-func BenchmarkParallelBuild(b *testing.B) {
-	for _, n := range []int{128, 512} {
-		p := sched.MustProblem(topology.RandomGrid(stats.NewRand(1), n), 0, 1<<20, sched.Options{Overlap: true})
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
-				ep := sched.NewEnginePool()
-				for i := 0; i < b.N; i++ {
-					if w > 1 {
-						ep.Scan = sched.NewParallelBuilder(w)
-					}
-					ep.Schedule(sched.ECEFLAT(), p)
-					if ep.Scan != nil {
-						ep.Scan.Close()
-						ep.Scan = nil
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -616,79 +594,6 @@ func BenchmarkSessionPlan(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkWorkStealingBuild measures steady-state chunk-claiming on a
-// persistent pool: one ParallelBuilder attached to one EnginePool (Scan)
-// and reused across all builds of a 512-cluster schedule, isolating the
-// work-stealing round dispatch from the per-call pool spawn
-// BenchmarkParallelBuild pays. workers=1 is the sequential engine
-// baseline; the schedules are bit-identical throughout.
-func BenchmarkWorkStealingBuild(b *testing.B) {
-	p := sched.MustProblem(topology.RandomGrid(stats.NewRand(1), 512), 0, 1<<20, sched.Options{Overlap: true})
-	for _, w := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			pb := sched.NewParallelBuilder(w)
-			defer pb.Close()
-			ep := sched.NewEnginePool()
-			ep.Scan = pb
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ep.Schedule(sched.ECEFLAT(), p)
-			}
-		})
-	}
-}
-
-// BenchmarkSegmentedParallelScan measures the segmented engine with its
-// per-round scans chunked across a scan pool (EnginePool.Scan — the path
-// behind WithScanWorkers on segmented and pipelined requests), 16 MB in
-// 128 KB segments on large random platforms. workers=1 detaches the pool.
-func BenchmarkSegmentedParallelScan(b *testing.B) {
-	for _, n := range []int{128, 512} {
-		g := topology.RandomGrid(stats.NewRand(1), n)
-		sp := sched.MustSegmentedProblem(g, 0, 16<<20, 128<<10, sched.Options{Overlap: true})
-		for _, w := range []int{1, 8} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
-				ep := sched.NewEnginePool()
-				if w > 1 {
-					pb := sched.NewParallelBuilder(w)
-					defer pb.Close()
-					ep.Scan = pb
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ep.ScheduleSegmented(sched.ECEFLAT(), sp)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkPipelinedLadderParallel measures the full default segment-size
-// ladder at N=512 — the end-to-end target of the work-stealing port — with
-// the per-round scans of every rung sharded through one scan pool.
-// workers=1 is the sequential baseline the speedup target is measured
-// against (on multi-core hosts; a single-core host shows pool overhead
-// instead, see EXPERIMENTS.md).
-func BenchmarkPipelinedLadderParallel(b *testing.B) {
-	g := topology.RandomGrid(stats.NewRand(1), 512)
-	for _, w := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			ep := sched.NewEnginePool()
-			if w > 1 {
-				pb := sched.NewParallelBuilder(w)
-				defer pb.Close()
-				ep.Scan = pb
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := (sched.Pipelined{}).BestContext(context.Background(), ep, g, 0, 16<<20, sched.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkSimKernel measures raw event throughput of the discrete-event

@@ -40,21 +40,26 @@ func (p *platformFlags) Set(s string) error {
 
 // Connection timeouts: a client that trickles its headers or body, or parks
 // an idle keep-alive connection, is cut off instead of holding it forever.
+// writeTimeout runs from the end of the request headers to the end of the
+// response, so it covers reading the body (at most readTimeout), planning
+// (at most service.MaxDeadline, the cap on deadline_ms and -timeout) and
+// encoding and writing the reply, which writeMargin bounds.
 const (
 	readHeaderTimeout = 5 * time.Second
 	readTimeout       = 30 * time.Second
 	idleTimeout       = 2 * time.Minute
+	writeMargin       = time.Minute
+	writeTimeout      = readTimeout + service.MaxDeadline + writeMargin
 )
 
-// newHTTPServer builds the daemon's HTTP server. WriteTimeout stays unset:
-// deadline_ms has no server-side cap, so a write timeout would cut off the
-// response of a legitimately long planning request.
+// newHTTPServer builds the daemon's HTTP server.
 func newHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
 		IdleTimeout:       idleTimeout,
 	}
 }
@@ -72,10 +77,13 @@ func run(args []string) error {
 	fs.Var(&platforms, "platform", "platform to serve, as name=source; repeatable.\nSources: grid5000 | random:<seed>:<clusters> | file.fits | file.json")
 	listen := fs.String("listen", ":8080", "address to serve HTTP on")
 	maxInflight := fs.Int("max-inflight", service.DefaultMaxInflight, "max concurrently admitted planning requests (excess get 429)")
-	timeout := fs.Duration("timeout", service.DefaultPlanTimeout, "default planning deadline for requests without deadline_ms")
+	timeout := fs.Duration("timeout", service.DefaultPlanTimeout, "default planning deadline for requests without deadline_ms (at most "+service.MaxDeadline.String()+")")
 	cacheCap := fs.Int("cache-cap", 0, "plan-cache capacity per platform session (0 sizes from -max-inflight)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *timeout > service.MaxDeadline {
+		return fmt.Errorf("-timeout %v exceeds the planning deadline cap %v", *timeout, service.MaxDeadline)
 	}
 	if len(platforms) == 0 {
 		// A daemon with nothing to serve is a configuration mistake, not a

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"gridbcast/internal/service"
 )
 
 // TestRunConfigErrors pins the daemon's fail-fast paths: they must all
@@ -19,6 +21,7 @@ func TestRunConfigErrors(t *testing.T) {
 		{"unloadable", []string{"-platform", "x=missing.json"}, "missing.json"},
 		{"bad-random", []string{"-platform", "x=random:1"}, "random:<seed>:<clusters>"},
 		{"bad-flag", []string{"-nope"}, "flag provided but not defined"},
+		{"timeout-over-cap", []string{"-platform", "g=grid5000", "-timeout", "5m0.001s"}, "exceeds the planning deadline cap 5m0s"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -31,16 +34,18 @@ func TestRunConfigErrors(t *testing.T) {
 }
 
 // TestHTTPServerTimeouts pins the connection timeouts: without them a
-// slow-header client holds a connection forever. WriteTimeout is left unset
-// on purpose (see newHTTPServer).
+// slow-header client holds a connection forever. WriteTimeout must outlast
+// the longest deadline a request may ask for, or it would cut off the reply
+// of a build that met its deadline.
 func TestHTTPServerTimeouts(t *testing.T) {
 	hs := newHTTPServer(":0", http.NotFoundHandler())
 	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 {
 		t.Errorf("timeouts not set: read-header %v, read %v, idle %v",
 			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
 	}
-	if hs.WriteTimeout != 0 {
-		t.Errorf("WriteTimeout = %v, want unset", hs.WriteTimeout)
+	if hs.WriteTimeout <= hs.ReadTimeout+service.MaxDeadline {
+		t.Errorf("WriteTimeout = %v, want more than read %v + deadline cap %v",
+			hs.WriteTimeout, hs.ReadTimeout, service.MaxDeadline)
 	}
 	if hs.Addr != ":0" || hs.Handler == nil {
 		t.Errorf("server not wired: addr %q, handler %v", hs.Addr, hs.Handler)

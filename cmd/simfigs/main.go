@@ -35,7 +35,6 @@ func main() {
 		fig      = flag.String("fig", "", "figure to regenerate: 1..10 or 'all'")
 		table    = flag.Int("table", 0, "table to regenerate: 3")
 		iters    = flag.Int("iters", 10000, "Monte-Carlo iterations (figures 1-4 and 8)")
-		scanW    = flag.Int("scan-workers", 0, "per-construction scan workers (the Session API's WithScanWorkers); 0/1 = sequential engine, figures are identical either way")
 		segN     = flag.Int("segclusters", 10, "cluster count for the random segment sweeps (figures 8 and 10)")
 		seed     = flag.Int64("seed", 42, "random seed")
 		outDir   = flag.String("out", "results", "output directory for .dat/.csv files")
@@ -103,7 +102,7 @@ func main() {
 		fatal(fmt.Errorf("unknown table %d (only Table 3 is reproducible)", *table))
 	}
 
-	mc := experiment.MonteCarlo{Iterations: *iters, Seed: *seed, ScanWorkers: *scanW}
+	mc := experiment.MonteCarlo{Iterations: *iters, Seed: *seed}
 	practical := experiment.PracticalConfig{
 		Grid: fixedGrid,
 		Net:  vnet.Config{Jitter: *jitter, Seed: *seed},

@@ -34,8 +34,8 @@
 // Omit WithHeuristic to let Plan pick the best paper heuristic (the winner
 // and every candidate's makespan end up in the Plan); add WithSegments or
 // WithPipelined for the large-message pipelined workload, WithRefine for
-// local-search improvement, WithScanWorkers to parallelise construction on
-// large platforms, and WithContext to make long searches cancellable.
+// local-search improvement, and WithContext to make long searches
+// cancellable.
 // Session.PlanBatch fans independent requests across the engine pool with
 // deterministic results at any worker count.
 package gridbcast

@@ -31,30 +31,17 @@ type MonteCarlo struct {
 	// Root, when >= 0, fixes the root cluster; -1 draws it uniformly.
 	// Default 0 (the paper broadcasts from a fixed root).
 	Root int
-	// ScanWorkers, when > 1, builds every schedule with the per-round
-	// candidate scans sharded across that many goroutines (the Session
-	// API's WithScanWorkers) — on top of the per-iteration Workers
-	// parallelism. Schedules are bit-identical either way (the parallel
-	// builder's contract), so figures do not change; this targets sweeps
-	// over cluster counts large enough that a single construction is the
-	// latency unit.
-	ScanWorkers int
 }
 
 // planOptions assembles the request options shared by every sweep plan:
-// the §6 Monte-Carlo setting (overlap completion model) plus the
-// configured construction parallelism.
+// the §6 Monte-Carlo setting (overlap completion model).
 func (mc MonteCarlo) planOptions(h sched.Heuristic, root int) []gridbcast.Option {
-	opts := []gridbcast.Option{
+	return []gridbcast.Option{
 		gridbcast.WithHeuristic(h),
 		gridbcast.WithRoot(root),
 		gridbcast.WithSize(mc.msgSize()),
 		gridbcast.WithOverlap(true),
 	}
-	if mc.ScanWorkers > 1 {
-		opts = append(opts, gridbcast.WithScanWorkers(mc.ScanWorkers))
-	}
-	return opts
 }
 
 func (mc MonteCarlo) iterations() int {

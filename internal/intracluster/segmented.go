@@ -125,15 +125,3 @@ func (t *Tree) SegmentedCompletion(p plogp.Params, sizes []int64, ready []float6
 	}
 	return worst
 }
-
-// PredictSegmented returns T_i(s, K): the predicted pipelined intra-cluster
-// broadcast time for a homogeneous cluster of pNodes machines when every
-// segment is available at the root from time zero. With k == 1 (and
-// lastSize == m) it equals Predict bit for bit. A single-node cluster
-// broadcasts in zero time.
-func PredictSegmented(shape Shape, pNodes int, params plogp.Params, segSize, lastSize int64, k int) float64 {
-	if pNodes <= 1 {
-		return 0
-	}
-	return New(shape, pNodes).SegmentedCompletion(params, SegmentSizes(segSize, lastSize, k), nil)
-}

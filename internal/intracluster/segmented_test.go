@@ -32,8 +32,8 @@ func TestSegmentedCompletionOneSegmentGolden(t *testing.T) {
 						t.Fatalf("%v p=%d m=%d: K=1 segmented %v != whole-message %v",
 							shape, p, m, seg, whole)
 					}
-					if pr := PredictSegmented(shape, p, params, m, m, 1); pr != Predict(shape, p, params, m) {
-						t.Fatalf("%v p=%d m=%d: PredictSegmented K=1 diverges from Predict", shape, p, m)
+					if pr := tree.SegmentedCompletion(params, SegmentSizes(m, m, 1), nil); pr != Predict(shape, p, params, m) {
+						t.Fatalf("%v p=%d m=%d: SegmentSizes K=1 completion diverges from Predict", shape, p, m)
 					}
 				}
 			}
@@ -69,7 +69,7 @@ func TestSegmentedPipeliningWinsOnDeepTrees(t *testing.T) {
 	m := int64(16 << 20)
 	for _, p := range []int{16, 64} {
 		whole := Predict(Chain, p, segTestParams, m)
-		seg := PredictSegmented(Chain, p, segTestParams, m/16, m/16, 16)
+		seg := New(Chain, p).SegmentedCompletion(segTestParams, SegmentSizes(m/16, m/16, 16), nil)
 		if seg >= whole {
 			t.Errorf("chain p=%d: segmented %g did not beat whole-message %g", p, seg, whole)
 		}

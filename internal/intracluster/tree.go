@@ -164,21 +164,6 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
-// Depth returns the number of edges on the longest root-to-leaf path.
-func (t *Tree) Depth() int {
-	var walk func(n int) int
-	walk = func(n int) int {
-		d := 0
-		for _, c := range t.Children[n] {
-			if cd := walk(c) + 1; cd > d {
-				d = cd
-			}
-		}
-		return d
-	}
-	return walk(0)
-}
-
 // ArrivalTimes returns, for each node, the virtual time at which it holds
 // the full message when the root starts sending at time 0, under the pLogP
 // gap model: a parent's i-th transmission starts once its previous ones are

@@ -137,7 +137,8 @@ func FuzzSegmentedLocalTree(f *testing.F) {
 				t.Fatalf("K=1 makespan %g != whole-message prediction %g", ss.Makespan, whole)
 			}
 		} else if ss.LocalSegmented[0] {
-			chain := intracluster.PredictSegmented(intracluster.Chain, nodes, g.Clusters[0].Intra, sp.SegSize, sp.LastSize, sp.K)
+			chain := intracluster.New(intracluster.Chain, nodes).SegmentedCompletion(g.Clusters[0].Intra,
+				intracluster.SegmentSizes(sp.SegSize, sp.LastSize, sp.K), nil)
 			if ss.Makespan != chain {
 				t.Fatalf("streamed makespan %g != T(s,K) %g", ss.Makespan, chain)
 			}

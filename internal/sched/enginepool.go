@@ -32,14 +32,6 @@ import (
 // own check one out of a package sync.Pool per build (poolSchedule), and
 // sweeps that parallelise across goroutines use one pool per worker.
 type EnginePool struct {
-	// Scan, when non-nil, chunks every shardable per-round scan across the
-	// builder's work-stealing pool (parallel.go), for unsegmented,
-	// segmented and pipelined constructions alike. The produced schedules
-	// are bit-identical with or without it; only construction latency
-	// changes. Like the pool itself, the field is not synchronised: set it
-	// before handing the pool to a worker.
-	Scan *ParallelBuilder
-
 	n int // current buffer dimension (0 = nothing allocated)
 
 	// Shared receiver cache for the ECEF-family and BottomUp engines.
@@ -159,11 +151,11 @@ func (ep *EnginePool) Schedule(h Heuristic, p *Problem) *Schedule {
 	case FlatTree:
 		return run(&flatEngine{d: 1}, p)
 	case FEF:
-		return run(ep.scanPolicy(ep.fefFor(hh, p)), p)
+		return run(ep.fefFor(hh, p), p)
 	case ecef:
-		return run(ep.scanPolicy(ep.ecefFor(hh, p)), p)
+		return run(ep.ecefFor(hh, p), p)
 	case BottomUp:
-		return run(ep.scanPolicy(ep.buFor(p)), p)
+		return run(ep.buFor(p), p)
 	case Mixed:
 		sc := ep.Schedule(hh.inner(p), p)
 		sc.Heuristic = hh.Name()
@@ -172,15 +164,6 @@ func (ep *EnginePool) Schedule(h Heuristic, p *Problem) *Schedule {
 		return Refine(p, ep.Schedule(hh.Base, p), hh.MaxRounds)
 	}
 	return h.Schedule(p)
-}
-
-// scanPolicy routes a shardable engine through the Scan pool when one is
-// attached; the sequential engine otherwise.
-func (ep *EnginePool) scanPolicy(sc parallelScanner) policy {
-	if ep.Scan != nil && ep.Scan.workers > 1 {
-		return &parallelPolicy{pb: ep.Scan, sc: sc}
-	}
-	return sc
 }
 
 // ensure sizes the pooled O(N) buffers for n clusters; the O(N²)
@@ -320,11 +303,7 @@ func (ep *EnginePool) scheduleSegmented(h Heuristic, sp *SegmentedProblem, bound
 // scheduleSegmentedOnce is one coordGuard pass through the pooled segmented
 // engines, whatever the cluster count.
 func (ep *EnginePool) scheduleSegmentedOnce(h Heuristic, sp *SegmentedProblem, bound float64, fallback *fallbackTree) *SegmentedSchedule {
-	pol := ep.segEngineFor(h, sp)
-	if pol != nil && ep.Scan != nil {
-		pol = ep.Scan.segPolicyFor(pol)
-	}
-	return segmentedWith(h, sp, pol, fallback, bound)
+	return segmentedWith(h, sp, ep.segEngineFor(h, sp), fallback, bound)
 }
 
 // segEngineFor readies the pooled incremental segmented picker for h, or

@@ -52,8 +52,7 @@ func ladderHeuristics() []Heuristic {
 // bounded ladder returns the unbounded ladder's schedule in every field,
 // on the paper's platform (below the engine gate), a 128-cluster random
 // platform and a clustered one whose local trees stream, under every
-// completion model, with and without a parallel scan builder. RandomGrid
-// clusters have modelled local phases, so the end-to-end pipeline is the
+// completion model. RandomGrid clusters have modelled local phases, so the end-to-end pipeline is the
 // strict model there and is not run twice.
 func TestLadderBoundByteIdentical(t *testing.T) {
 	grids := []struct {
@@ -67,29 +66,20 @@ func TestLadderBoundByteIdentical(t *testing.T) {
 		{"random128", topology.RandomGrid(stats.NewRand(7), 128), 5, 2, []int64{16<<20 + 11}},
 		{"clustered16", topology.RandomClusteredGrid(stats.NewRand(3), 16), 2, 3, []int64{48<<10 + 7, 2<<20 + 5}},
 	}
-	pb := NewParallelBuilder(4)
-	defer pb.Close()
 	for _, gr := range grids {
 		for _, mode := range ladderModes[:gr.modes] {
 			for _, m := range gr.sizes {
-				scans := []*ParallelBuilder{nil}
-				if gr.g.N() >= segEngineMinN {
-					scans = append(scans, pb) // below the gate the naive pickers build
-				}
-				for _, scan := range scans {
-					ep, ref := NewEnginePool(), NewEnginePool()
-					ep.Scan = scan
-					for _, h := range ladderHeuristics() {
-						pl := Pipelined{Base: h}
-						label := fmt.Sprintf("%s/%s/%d/%s/scan=%t", gr.name, mode.name, m, h.Name(), scan != nil)
-						got, err := pl.BestContext(context.Background(), ep, gr.g, gr.root, m, mode.opt)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if want := unboundedLadder(ref, pl, gr.g, gr.root, m, mode.opt); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: bounded ladder diverges from the unbounded one\nbounded:   K=%d makespan %v\nunbounded: K=%d makespan %v",
-								label, got.K, got.Makespan, want.K, want.Makespan)
-						}
+				ep, ref := NewEnginePool(), NewEnginePool()
+				for _, h := range ladderHeuristics() {
+					pl := Pipelined{Base: h}
+					label := fmt.Sprintf("%s/%s/%d/%s", gr.name, mode.name, m, h.Name())
+					got, err := pl.BestContext(context.Background(), ep, gr.g, gr.root, m, mode.opt)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if want := unboundedLadder(ref, pl, gr.g, gr.root, m, mode.opt); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: bounded ladder diverges from the unbounded one\nbounded:   K=%d makespan %v\nunbounded: K=%d makespan %v",
+							label, got.K, got.Makespan, want.K, want.Makespan)
 					}
 				}
 			}

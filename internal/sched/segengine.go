@@ -127,8 +127,8 @@ type segRecvCache struct {
 	rem []int32
 	// last[i] caches segAt[i][K-1], which is fixed from the moment sender i
 	// joins A; scans read this contiguous lane instead of chasing the
-	// per-sender segment-time row. Filled by cacheLast before a sender's
-	// first scan.
+	// per-sender segment-time row. Filled by sync when the sender is first
+	// folded.
 	last  []float64
 	csync int   // prefix of joined already compared against caches
 	lastI int32 // sender of the previous round (-1 before round 0)
@@ -175,18 +175,6 @@ func (rc *segRecvCache) resetWith(sp *SegmentedProblem, gsT, wlT [][]float64) {
 	rc.lastI = -1
 }
 
-// cacheLast fills the last lane for senders that joined since the previous
-// round. It must run single-threaded before any scan of the round — the
-// sequential sync calls it first, the parallel fan-out calls it from the
-// coordinator before dispatching shards (shards reading a lane concurrently
-// written would race).
-func (rc *segRecvCache) cacheLast(st *segState) {
-	k1 := rc.sp.K - 1
-	for _, i := range rc.joined[rc.csync:] {
-		rc.last[i] = st.segAt[i][k1]
-	}
-}
-
 // keyOf computes the current cost of a heap entry with the exact expression
 // order of the naive lastSegEstimate + Wl scan.
 func (rc *segRecvCache) keyOf(st *segState, e segSenderEntry) float64 {
@@ -212,15 +200,17 @@ func (h *segSenderHeap) best(rc *segRecvCache, st *segState) segSenderEntry {
 	}
 }
 
-// sync brings the caches up to date with the previous round: fold freshly
-// joined senders flat against every cached best, then requery the receivers
-// whose cached sender transmitted last round.
+// sync brings the caches up to date with the previous round: fill the last
+// lane of freshly joined senders and fold them flat against every cached
+// best, then requery the receivers whose cached sender transmitted last
+// round.
 func (rc *segRecvCache) sync(st *segState) {
-	rc.cacheLast(st)
 	sp := rc.sp
+	k1 := sp.K - 1
 	for _, i := range rc.joined[rc.csync:] {
 		busy, gsRow, wlRow := st.busy[i], sp.Gs[i], sp.Wl[i]
-		last := rc.last[i]
+		last := st.segAt[i][k1]
+		rc.last[i] = last
 		for _, j := range rc.rem {
 			key := busy + rc.kg1*gsRow[j]
 			if last > key {

@@ -248,7 +248,8 @@ func TestSegmentedLocalTLBounds(t *testing.T) {
 			continue
 		}
 		// The streamed local phase is the pipelined chain (see segmentLocal).
-		tk := intracluster.PredictSegmented(intracluster.Chain, c.Nodes, c.Intra, sp.SegSize, sp.LastSize, sp.K)
+		tk := intracluster.New(intracluster.Chain, c.Nodes).SegmentedCompletion(c.Intra,
+			intracluster.SegmentSizes(sp.SegSize, sp.LastSize, sp.K), nil)
 		if want := math.Min(tk, sp.T[i]); sp.TL[i] != want {
 			t.Errorf("cluster %d: TL %g, want min(%g, %g)", i, sp.TL[i], tk, sp.T[i])
 		}

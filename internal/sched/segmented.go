@@ -121,19 +121,17 @@ func NewSegmentedProblem(g *topology.Grid, root int, m, segSize int64, opt Optio
 	if segSize > m && m > 0 {
 		segSize = m
 	}
-	k := 1
-	last := m
-	if m > segSize {
-		k = int((m-1)/segSize + 1) // ceil(m/segSize) without overflowing near MaxInt64
-		last = m - int64(k-1)*segSize
-	}
 	// The exact state is O(N·K) in time and memory, so an adversarial
 	// segSize (say 1 byte of a 16 MB message) must be rejected here, where
 	// untrusted sizes enter — not just skipped by the ladder search — and
 	// before NewProblem costs the O(N²) matrices.
-	if k > MaxSegments {
-		return nil, fmt.Errorf("sched: %d-byte segments split a %d-byte message into %d segments (max %d)",
-			segSize, m, k, MaxSegments)
+	if err := CheckSegments(m, segSize); err != nil {
+		return nil, err
+	}
+	k := int(segmentCount(m, segSize))
+	last := m
+	if k > 1 {
+		last = m - int64(k-1)*segSize
 	}
 	p, err := NewProblem(g, root, m, opt)
 	if err != nil {
@@ -781,6 +779,28 @@ func segPolicyFor(h Heuristic, sp *SegmentedProblem) segPolicy {
 // that would split the message into more pieces than this.
 const MaxSegments = 8192
 
+// segmentCount returns ceil(m/segSize), the number of segSize-byte segments
+// an m-byte message splits into (1 when m <= segSize), without overflowing
+// near MaxInt64. segSize must be positive.
+func segmentCount(m, segSize int64) int64 {
+	if m <= segSize {
+		return 1
+	}
+	return (m-1)/segSize + 1
+}
+
+// CheckSegments refuses a segmentation of an m-byte message into
+// segSize-byte segments (segSize > 0) that exceeds MaxSegments pieces.
+// NewSegmentedProblem applies it, and callers that admit untrusted sizes
+// apply it before doing any work for the request.
+func CheckSegments(m, segSize int64) error {
+	if k := segmentCount(m, segSize); k > MaxSegments {
+		return fmt.Errorf("sched: %d-byte segments split a %d-byte message into %d segments (max %d)",
+			segSize, m, k, MaxSegments)
+	}
+	return nil
+}
+
 // DefaultSegmentLadder returns the candidate segment sizes tried by
 // Pipelined for an m-byte message: the unsegmented m itself plus descending
 // powers of two from min(4 MiB, largest power below m) down to 4 KiB,
@@ -795,7 +815,7 @@ func DefaultSegmentLadder(m int64) []int64 {
 		if s >= m {
 			continue
 		}
-		if (m-1)/s+1 > MaxSegments { // ceil(m/s), overflow-free
+		if segmentCount(m, s) > MaxSegments {
 			break
 		}
 		ladder = append(ladder, s)

@@ -239,9 +239,12 @@ func TestServeBatchBodyMatchesEncoder(t *testing.T) {
 	}
 }
 
-// TestServeBatchPlansFailedSlotOnce: a slot that fails inside the build
-// (after the cache lookup) counts one cache miss, so the handler took its
-// message from PlanBatch's error rather than planning it again.
+// TestServeBatchPlansFailedSlotOnce: a failed slot takes its message from
+// PlanBatch's error rather than from a second plan. No input fails inside a
+// cached build any more (an oversized segment count, the last one, is now
+// refused by request validation), so the batch below checks that the
+// refused slot carries its message and never reaches the plan cache: only
+// the good slot counts a miss.
 func TestServeBatchPlansFailedSlotOnce(t *testing.T) {
 	s := newWireServer(t)
 	p, _ := s.reg.Lookup("g5k")
@@ -260,7 +263,7 @@ func TestServeBatchPlansFailedSlotOnce(t *testing.T) {
 	if resp.Errors[1] == nil || !strings.Contains(*resp.Errors[1], "segments") {
 		t.Fatalf("slot 1 error %v, want the segment-count message", resp.Errors[1])
 	}
-	if st := p.Session.CacheStats(); st.Misses-before.Misses != 2 {
-		t.Errorf("%d cache misses for a batch of two slots, want 2 (one per slot)", st.Misses-before.Misses)
+	if st := p.Session.CacheStats(); st.Misses-before.Misses != 1 || st.Hits != before.Hits {
+		t.Errorf("cache stats %+v after %+v, want one miss (the good slot) and no hit", st, before)
 	}
 }

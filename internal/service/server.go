@@ -24,7 +24,8 @@ type Config struct {
 	// queueing without bound. <= 0 selects DefaultMaxInflight.
 	MaxInflight int
 	// DefaultTimeout bounds planning time for requests that set no
-	// deadline_ms. <= 0 selects DefaultPlanTimeout.
+	// deadline_ms. <= 0 selects DefaultPlanTimeout. It should not exceed
+	// MaxDeadline, which cmd/gridbcastd enforces at startup.
 	DefaultTimeout time.Duration
 	// MaxBodyBytes bounds request bodies. <= 0 selects DefaultMaxBodyBytes.
 	MaxBodyBytes int64
@@ -39,6 +40,21 @@ const (
 	DefaultPlanTimeout  = 30 * time.Second
 	DefaultMaxBodyBytes = 1 << 20
 )
+
+// MaxDeadline caps a request's deadline_ms: a larger value gets a 400.
+// Without a cap, deadline_ms above 9,223,372,036,854 overflows the
+// time.Duration it is converted to, and any very large value leaves the
+// build unbounded. A fixed cap also lets the daemon bound how long it
+// writes a response.
+const MaxDeadline = 5 * time.Minute
+
+// checkDeadline refuses a deadline_ms above MaxDeadline.
+func checkDeadline(deadlineMS int64) error {
+	if capMS := MaxDeadline.Milliseconds(); deadlineMS > capMS {
+		return fmt.Errorf("deadline_ms %d exceeds the cap of %d (%v)", deadlineMS, capMS, MaxDeadline)
+	}
+	return nil
+}
 
 // CacheCapacityFor sizes a registry session's plan cache from the
 // admission limit: every admitted request can install at most one entry,
@@ -196,7 +212,8 @@ func (s *Server) release() {
 
 // planContext derives the planning context from the transport: the
 // client's disconnect cancels it, and deadline_ms (or the server default)
-// bounds it.
+// bounds it. The handlers have refused a deadline_ms above MaxDeadline, so
+// the conversion cannot overflow.
 func (s *Server) planContext(r *http.Request, deadlineMS int64) (context.Context, context.CancelFunc) {
 	timeout := s.cfg.DefaultTimeout
 	if deadlineMS > 0 {
@@ -214,6 +231,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	if pr.Platform == "" {
 		s.writeError(w, http.StatusBadRequest, "missing platform name")
+		return
+	}
+	if err := checkDeadline(pr.DeadlineMS); err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// The platform pointer is resolved once and held for the request's
@@ -306,6 +327,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(br.Requests) == 0 {
 		s.writeError(w, http.StatusBadRequest, "empty batch")
+		return
+	}
+	if err := checkDeadline(br.DeadlineMS); err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	p, ok := s.reg.Lookup(br.Platform)

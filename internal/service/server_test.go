@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -216,6 +217,33 @@ func TestServeDeadline(t *testing.T) {
 	}
 	if c := s.metrics.CountersSnapshot(); c.Deadline != 1 {
 		t.Errorf("deadline counter %d, want 1", c.Deadline)
+	}
+}
+
+// TestServeDeadlineCap pins the deadline_ms cap on both planning routes:
+// the value whose millisecond conversion overflows a time.Duration and the
+// cap plus one are refused with a 400 naming the cap, and the cap itself
+// plans.
+func TestServeDeadlineCap(t *testing.T) {
+	s := newTestServer(t, Config{})
+	capMS := MaxDeadline.Milliseconds()
+	const overflow = math.MaxInt64/int64(time.Millisecond) + 1 // 9,223,372,036,855
+	for _, route := range []struct{ path, body string }{
+		{"/v1/plan", `{"platform":"g5k","size":65536,"deadline_ms":%d}`},
+		{"/v1/plan/batch", `{"platform":"g5k","deadline_ms":%d,"requests":[{"size":65536}]}`},
+	} {
+		for _, ms := range []int64{overflow, capMS + 1} {
+			w := post(t, s, route.path, fmt.Sprintf(route.body, ms))
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("%s deadline_ms %d: status %d, want 400 (body %s)", route.path, ms, w.Code, w.Body)
+			}
+			if want := fmt.Sprintf("exceeds the cap of %d", capMS); !strings.Contains(w.Body.String(), want) {
+				t.Errorf("%s deadline_ms %d: body %s, want it to contain %q", route.path, ms, w.Body, want)
+			}
+		}
+		if w := post(t, s, route.path, fmt.Sprintf(route.body, capMS)); w.Code != http.StatusOK {
+			t.Errorf("%s deadline_ms at the cap: status %d, want 200 (body %s)", route.path, w.Code, w.Body)
+		}
 	}
 }
 

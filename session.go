@@ -31,52 +31,6 @@ import (
 // pattern the Monte-Carlo sweeps used to hand-roll.
 var enginePools = sync.Pool{New: func() any { return sched.NewEnginePool() }}
 
-// scanBuilders recycles persistent parallel-scan worker pools the same way,
-// so WithScanWorkers sweeps spawn their goroutines once per P rather than
-// once per schedule (the churn PR 3's hand-rolled per-worker builders
-// avoided). One sync.Pool per worker count — mixed-count workloads reuse
-// both sizes instead of thrashing a single slot — and builders the GC drops
-// release their goroutines through sched.NewParallelBuilder's cleanup, so
-// pooling cannot leak them.
-var scanBuilders sync.Map // worker count -> *sync.Pool of *sched.ParallelBuilder
-
-func scanBuilderPool(workers int) *sync.Pool {
-	pool, _ := scanBuilders.LoadOrStore(workers, &sync.Pool{})
-	return pool.(*sync.Pool)
-}
-
-// checkoutScanBuilder returns a recycled builder with the given worker
-// count, spawning one when its pool is empty. Return it with
-// returnScanBuilder after use.
-func checkoutScanBuilder(workers int) *sched.ParallelBuilder {
-	if pb, _ := scanBuilderPool(workers).Get().(*sched.ParallelBuilder); pb != nil {
-		return pb
-	}
-	return sched.NewParallelBuilder(workers)
-}
-
-func returnScanBuilder(pb *sched.ParallelBuilder) {
-	scanBuilderPool(pb.Workers()).Put(pb)
-}
-
-// scanBuilderFor resolves a request's WithScanWorkers setting to a checked-
-// out builder, or nil when the request keeps the sequential engine (unset,
-// explicit 1, or a resolved GOMAXPROCS of 1). Callers must return non-nil
-// builders with returnScanBuilder.
-func scanBuilderFor(req Request) *sched.ParallelBuilder {
-	if !req.scanSet || req.scanWorkers == 1 {
-		return nil
-	}
-	workers := req.scanWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 {
-		return nil
-	}
-	return checkoutScanBuilder(workers)
-}
-
 // Session binds a platform to everything needed to plan and execute
 // broadcasts on it: the grid's per-message-size cost store warms up on
 // first use and is shared by subsequent plans, and schedule construction
@@ -123,8 +77,7 @@ const DefaultPlanCacheCapacity = 1024
 //
 // Cached plans are shared and immutable: callers must not mutate a *Plan
 // returned by a caching session (Refine already copies on write). Request
-// shapes that cannot affect the schedule bytes — WithScanWorkers (the
-// schedule is bit-identical at any worker count), WithReplan, WithContext —
+// shapes that cannot affect the schedule bytes — WithReplan, WithContext —
 // are normalized out of the key, so they hit the same entry.
 func WithPlanCache(capacity int) SessionOption {
 	return func(s *Session) {
@@ -205,24 +158,22 @@ func (s *Session) InvalidateCache() { s.gen.Add(1) }
 // best-of-paper heuristic selection from root 0 but carries no message
 // size; build requests with NewRequest and the With* options.
 type Request struct {
-	heuristic   Heuristic
-	root        int
-	size        int64
-	sizeSet     bool
-	segSize     int64
-	segmented   bool
-	pipelined   bool
-	segLocal    bool
-	scanWorkers int
-	scanSet     bool
-	refine      int
-	refineSet   bool
-	overlap     bool
-	replan      bool
-	nocache     bool
-	net         NetConfig
-	netSet      bool
-	ctx         context.Context
+	heuristic Heuristic
+	root      int
+	size      int64
+	sizeSet   bool
+	segSize   int64
+	segmented bool
+	pipelined bool
+	segLocal  bool
+	refine    int
+	refineSet bool
+	overlap   bool
+	replan    bool
+	nocache   bool
+	net       NetConfig
+	netSet    bool
+	ctx       context.Context
 }
 
 // Option configures a Request.
@@ -273,17 +224,6 @@ func WithPipelined() Option { return func(r *Request) { r.pipelined = true } }
 // option is inert (byte-identical schedules).
 func WithSegmentedLocal() Option { return func(r *Request) { r.segLocal = true } }
 
-// WithScanWorkers parallelises the schedule construction itself: the
-// per-round candidate scans are sharded across w goroutines (w <= 0 means
-// GOMAXPROCS; 1 means the sequential engine). The schedule is bit-identical
-// at any worker count — only construction latency changes, which pays off
-// from a few hundred clusters up. Segmented and pipelined requests shard
-// their per-round scans through the same worker pool (one pool serves
-// every rung of the pipelined ladder).
-func WithScanWorkers(w int) Option {
-	return func(r *Request) { r.scanWorkers = w; r.scanSet = true }
-}
-
 // WithRefine improves the planned schedule by local search (swap and
 // re-sender moves, re-timed exactly), sweeping at most budget rounds
 // (budget <= 0 sweeps until a local optimum). The result is never worse.
@@ -313,9 +253,8 @@ func WithOverlap(on bool) Option { return func(r *Request) { r.overlap = on } }
 // so a later Session.Replan can absorb a single-cluster platform drift in
 // O(affected receivers) instead of rebuilding (DESIGN.md §11). The trace is
 // recorded for pinned traceable heuristics (the ECEF family) planning an
-// unsegmented, unrefined schedule with the sequential engine; every other
-// request shape plans normally and Replan falls back to a full rebuild.
-// The planned schedule is bit-identical with or without this option.
+// unsegmented, unrefined schedule; every other request shape plans normally
+// and Replan falls back to a full rebuild. The planned schedule is bit-identical with or without this option.
 func WithReplan() Option { return func(r *Request) { r.replan = true } }
 
 // WithNoCache bypasses the session's plan cache for this request: the plan
@@ -429,8 +368,15 @@ func (s *Session) validate(req Request) error {
 	if req.segmented && req.pipelined {
 		return errors.New("gridbcast: WithSegments and WithPipelined are mutually exclusive")
 	}
-	if req.segmented && req.segSize <= 0 {
-		return fmt.Errorf("gridbcast: segment size %d must be positive", req.segSize)
+	if req.segmented {
+		if req.segSize <= 0 {
+			return fmt.Errorf("gridbcast: segment size %d must be positive", req.segSize)
+		}
+		// Refused here, before the plan cache keys, fingerprints or
+		// counts the request.
+		if err := sched.CheckSegments(req.size, req.segSize); err != nil {
+			return err
+		}
 	}
 	if req.segLocal && !req.segmented && !req.pipelined {
 		return errors.New("gridbcast: WithSegmentedLocal needs a segmented plan (WithSegments or WithPipelined)")
@@ -464,8 +410,7 @@ func (s *Session) validateRootSize(root int, size int64) error {
 // build), a miss builds and caches it, and concurrent misses on the same
 // key collapse into one build. Cache-resident builds additionally record
 // the construction replay trace whenever the request shape supports it (a
-// pinned ECEF-family heuristic, unsegmented, unrefined, sequential
-// engine) — the schedule is bit-identical either way, and the trace lets
+// pinned ECEF-family heuristic, unsegmented, unrefined) — the schedule is bit-identical either way, and the trace lets
 // Session.Replan migrate the entry across a platform drift. The build
 // itself runs detached from the request's context (it is shared by every
 // collapsed waiter); the context is still checked on entry.
@@ -523,8 +468,7 @@ func (s *Session) PlanInfo(req Request) (*Plan, PlanOutcome, error) {
 	v, oc, err := s.cache.DoInfo(s.requestKey(req), func() (any, error) {
 		breq := req
 		breq.ctx = nil
-		if breq.heuristic != nil && !breq.segmented && !breq.pipelined &&
-			!breq.refineSet && !(breq.scanSet && breq.scanWorkers != 1) {
+		if breq.heuristic != nil && !breq.segmented && !breq.pipelined && !breq.refineSet {
 			// Record the replay trace so Replan can migrate this entry.
 			breq.replan = true
 		}
@@ -550,8 +494,7 @@ func (s *Session) PlanInfo(req Request) (*Plan, PlanOutcome, error) {
 // requestKey folds the platform fingerprint, the cache generation and the
 // full normalized request option set into the canonical cache key.
 // Parameters that cannot change the schedule bytes are left out: the
-// context, the scan-worker count (schedules are bit-identical at any
-// count), WithReplan (traces are recorded on every eligible cached build)
+// context, WithReplan (traces are recorded on every eligible cached build)
 // and WithNoCache (bypasses keying entirely). Floats print as %x, so
 // values differing below decimal printing precision key differently.
 // Heuristics key by display name — the exported typed heuristics all carry
@@ -685,10 +628,6 @@ func (s *Session) planUncached(req Request) (*Plan, error) {
 // many schedules were built. p/sp is the pre-costed problem for the mode
 // (nil in pipelined mode, whose ladder costs one problem per rung).
 func (s *Session) buildOne(ctx context.Context, ep *sched.EnginePool, h Heuristic, req Request, p *sched.Problem, sp *sched.SegmentedProblem) (sc *Schedule, ss *SegmentedSchedule, tr *sched.BuildTrace, built int, err error) {
-	if pb := scanBuilderFor(req); pb != nil {
-		ep.Scan = pb
-		defer func() { ep.Scan = nil; returnScanBuilder(pb) }()
-	}
 	switch {
 	case req.pipelined:
 		opt := sched.Options{Overlap: req.overlap, SegmentedLocal: req.segLocal}
@@ -701,7 +640,7 @@ func (s *Session) buildOne(ctx context.Context, ep *sched.EnginePool, h Heuristi
 	case req.segmented:
 		return nil, ep.ScheduleSegmented(h, sp), nil, 1, nil
 	default:
-		if ep.Scan == nil && req.replan && req.heuristic != nil && !req.refineSet {
+		if req.replan && req.heuristic != nil && !req.refineSet {
 			// Traced build: bit-identical schedule plus the replay log
 			// Session.Replan consumes (nil for non-traceable heuristics).
 			sc, tr = sched.ScheduleTraced(ep, h, p)

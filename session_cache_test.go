@@ -9,6 +9,7 @@ package gridbcast_test
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -137,6 +138,27 @@ func TestWithNoCacheBypass(t *testing.T) {
 	planContent(t, "nocache", a, b)
 	if st := sess.CacheStats(); st != (gridbcast.CacheStats{}) {
 		t.Fatalf("WithNoCache moved the counters: %+v", st)
+	}
+}
+
+// TestRefusedSegmentCountSkipsCache: a segmented request whose segment
+// count exceeds sched.MaxSegments is refused by validation, before the plan
+// cache keys or counts it, through Plan and PlanBatch alike.
+func TestRefusedSegmentCountSkipsCache(t *testing.T) {
+	sess := cacheSession(t, gridbcast.Grid5000(), 8)
+	req := gridbcast.NewRequest(gridbcast.WithSize(1<<20), gridbcast.WithSegments(1))
+	if _, err := sess.Plan(req); err == nil || !strings.Contains(err.Error(), "segments") {
+		t.Fatalf("Plan error %v, want the segment-count refusal", err)
+	}
+	if _, err := sess.PlanBatch([]gridbcast.Request{req}); err == nil {
+		t.Fatal("PlanBatch accepted an oversized segment count")
+	}
+	if st := sess.CacheStats(); st != (gridbcast.CacheStats{}) {
+		t.Fatalf("refused request moved the counters: %+v", st)
+	}
+	// The largest admitted count still plans.
+	if _, err := sess.Plan(gridbcast.NewRequest(gridbcast.WithSize(1<<20), gridbcast.WithSegments(128))); err != nil {
+		t.Fatalf("8192 segments refused: %v", err)
 	}
 }
 

@@ -325,32 +325,3 @@ func TestPlanStatsAndExecuteNet(t *testing.T) {
 		t.Error("empty plan accepted")
 	}
 }
-
-// TestScanWorkersCoverSegmentedAndPipelined pins the WithScanWorkers
-// contract on the request shapes that used to ignore it: segmented and
-// pipelined plans built with a scan pool are byte-identical (wall-clock
-// stats aside) to the sequential builds, at several worker counts.
-func TestScanWorkersCoverSegmentedAndPipelined(t *testing.T) {
-	g := gridbcast.RandomGrid(29, 32) // above the segmented engine's routing gate
-	sess := mustSession(t, g)
-	base := []gridbcast.Option{
-		gridbcast.WithHeuristic(gridbcast.ECEFLAT),
-		gridbcast.WithRoot(3), gridbcast.WithSize(4 << 20),
-	}
-	for _, shape := range [][]gridbcast.Option{
-		append(append([]gridbcast.Option{}, base...), gridbcast.WithSegments(256<<10)),
-		append(append([]gridbcast.Option{}, base...), gridbcast.WithPipelined()),
-	} {
-		seq := mustPlan(t, sess, shape...)
-		for _, w := range []int{0, 2, 5} {
-			par := mustPlan(t, sess, append(append([]gridbcast.Option{}, shape...),
-				gridbcast.WithScanWorkers(w))...)
-			if !reflect.DeepEqual(par.Segmented, seq.Segmented) {
-				t.Fatalf("workers=%d: segmented plan diverges from sequential", w)
-			}
-			if par.Makespan != seq.Makespan || par.Heuristic != seq.Heuristic {
-				t.Fatalf("workers=%d: makespan/heuristic diverge", w)
-			}
-		}
-	}
-}
