@@ -5,35 +5,50 @@ import (
 	"math"
 )
 
-// This file is the incremental scheduling engine. It replaces the naive
-// O(N²)-per-round candidate scans of the original pickers with heap-backed,
-// lazily invalidated candidate structures, dropping schedule construction
-// from O(N³)–O(N⁴) to O(N² log N) while producing bit-identical schedules
-// (proved by the golden equivalence tests; complexity bounds in DESIGN.md,
+// This file is the incremental scheduling engine: one engine per picker,
+// serving every build the package makes. A whole-message Problem is built
+// as its one-segment SegmentedProblem view (EnginePool.Schedule), so
+// unsegmented and pipelined schedules run the same code on segState. The
+// engine replaces the naive O(N²)-per-round candidate scans with
+// heap-backed, lazily invalidated candidate structures, dropping schedule
+// construction from O(N³)–O(N⁴) to O(N² log N) while producing
+// bit-identical schedules (proved by the golden equivalence tests against
+// the naive pickers, which survive as the Reference and
+// ScheduleSegmentedReference oracles; complexity bounds in DESIGN.md,
 // "Performance notes"). The engines are readied only by EnginePool
-// (enginepool.go), the package's one build path; the naive pickers survive
-// as the Reference oracle.
+// (enginepool.go).
+//
+// The candidate cost is the estimated arrival of the last segment,
+//
+//	cost(i, j) = max(busy_i + (K-1)·Gs[i][j], last_i) + Wl[i][j],
+//
+// where last_i is when sender i holds its last segment. Its dynamic inputs
+// move the way an unsegmented sender's availability does: last_i is fixed
+// from the moment i joins A (transmit only writes the receiver's segment
+// times), and busy_i only grows, only when i transmits — one sender per
+// round. At K = 1 the Gs term vanishes and the cost splits into a sender
+// scalar av_i = max(busy_i, last_i) — the unsegmented avail — plus the
+// static edge weight W[i][j], so the receiver cache keeps one av lane and
+// skips the Gs lane altogether (a selection made from the input's K).
 //
 // Three mechanisms cover every heuristic:
 //
-//   - FEF: edge weights are static, so each sender gets a lazy-deletion
-//     heap over its outgoing row, heapified when the sender joins A;
-//     receivers that left B are skipped on access. A round scans the
-//     senders' heap tops.
+//   - FEF: static edge weights, so per-receiver cheapest-edge caches only
+//     improve, when a sender joins A (fefEngine).
 //   - ECEF family and BottomUp: a per-receiver cached best sender (cost
 //     and index) with lazy invalidation. A receiver's cache moves only
-//     when one of its three inputs moves: the cached sender transmitted
-//     (its avail grew), a sender joined A with a cheaper candidate (a
-//     flat O(1) compare), or the member realising the lookahead extremum
-//     F(j) left B. Only invalidated receivers consult their
-//     candidate-sender heap, which is itself built lazily from the join
-//     log the first time the receiver is requeried. Heap keys are
-//     avail[i] + W[i][j] at insertion; avail never decreases, so a stale
-//     key lower-bounds the entry's true cost and the top can be re-keyed
-//     in place until fresh — the classic lazy re-evaluation of
-//     priority-queue greedy algorithms. The lookahead terms are extrema
-//     over the shrinking set B, served by per-receiver lazy-deletion
-//     heaps whose members are discarded once they join A.
+//     when one of its inputs moves: the cached sender transmitted (its busy
+//     grew), a sender joined A with a cheaper candidate (a flat O(1)
+//     compare), or the member realising the lookahead extremum F(j) left B.
+//     Only invalidated receivers are requeried: a flat scan of the join log
+//     under a per-receiver budget, then a candidate-sender heap built
+//     lazily from the join log. Heap keys are the cost at insertion; cost
+//     is nondecreasing in busy_i, so a stale key lower-bounds the entry's
+//     true cost and the top can be re-keyed in place until fresh — the
+//     classic lazy re-evaluation of priority-queue greedy algorithms. The
+//     lookahead terms are extrema over the shrinking set B, served by
+//     per-receiver lazy-deletion heaps whose members are discarded once
+//     they join A.
 //   - FlatTree: a cursor over the fixed reception order.
 //
 // Tie-breaking replicates the naive scan order exactly: FEF resolves equal
@@ -42,13 +57,13 @@ import (
 // earliest receiver served by the lowest sender. Every accepted candidate
 // cost is computed with the same expression and operation order as the
 // naive pickers, so the schedules match bit for bit — with one theoretical
-// caveat: the per-receiver caches order senders by the partial key
-// avail[i]+W[i][j] before the receiver-constant lookahead (or T) term is
-// added, so two senders whose partial keys differ by less than an ulp of
-// the full sum would tie for the naive scan but not for the engine. Such a
-// collapse needs the full sums to round to the same float64 while the
-// partial keys differ — never observed on the golden platforms, and of
-// measure zero on random ones.
+// caveat: the per-receiver caches order senders by the partial key (the
+// cost above) before the receiver-constant lookahead (or T) term is added,
+// so two senders whose partial keys differ by less than an ulp of the full
+// sum would tie for the naive scan but not for the engine. Such a collapse
+// needs the full sums to round to the same float64 while the partial keys
+// differ — never observed on the golden platforms, and of measure zero on
+// random ones.
 
 // The small binary heaps below (and the event queue in internal/sim) are
 // deliberately hand-specialised rather than shared through a generic
@@ -92,14 +107,14 @@ func (r Reference) Schedule(p *Problem) *Schedule {
 // flatEngine walks the fixed reception order root+1, root+2, ... once.
 type flatEngine struct{ d int }
 
-func (flatEngine) Name() string { return FlatTree{}.Name() }
+func (flatEngine) segName() string { return FlatTree{}.Name() }
 
-func (e *flatEngine) pick(p *Problem, s *state) (int, int) {
+func (e *flatEngine) pickSeg(sp *SegmentedProblem, st *segState) (int, int) {
 	for {
-		j := (p.Root + e.d) % p.N
+		j := (sp.Root + e.d) % sp.N
 		e.d++
-		if !s.inA[j] {
-			return p.Root, j
+		if !st.inA[j] {
+			return sp.Root, j
 		}
 	}
 }
@@ -107,11 +122,13 @@ func (e *flatEngine) pick(p *Problem, s *state) (int, int) {
 // ---------------------------------------------------------------------------
 // FEF: per-receiver cached best edge
 
-// fefEngine is the incremental FEF picker. Edge weights are static, so a
-// receiver's cheapest incoming edge from A can only improve — and only when
-// a sender joins A. The whole schedule is therefore two flat O(N) passes
-// per round with no invalidation at all: fold the new sender's row into the
-// per-receiver caches, then scan the caches.
+// fefEngine is the incremental FEF picker. Edge weights are static and
+// segmentation-independent (the picked tree is the unsegmented FEF tree at
+// every K, like the naive treeSeg), so a receiver's cheapest incoming edge
+// from A can only improve — and only when a sender joins A. The whole
+// schedule is therefore two flat O(N) passes per round with no
+// invalidation at all: fold the new sender's row into the per-receiver
+// caches, then scan the caches.
 type fefEngine struct {
 	h     FEF
 	cW    []float64 // cheapest incoming weight from A per receiver
@@ -120,12 +137,12 @@ type fefEngine struct {
 	rem   []int32   // receivers still outside A, ascending (see recvCache.rem)
 }
 
-func (e *fefEngine) Name() string { return e.h.Name() }
+func (e *fefEngine) segName() string { return e.h.Name() }
 
-func (e *fefEngine) pick(p *Problem, s *state) (int, int) {
-	wm := p.L
+func (e *fefEngine) pickSeg(sp *SegmentedProblem, _ *segState) (int, int) {
+	wm := sp.L
 	if e.h.Weight == WeightFull {
-		wm = p.W
+		wm = sp.W
 	}
 	for _, i := range e.fresh {
 		row := wm[i]
@@ -154,12 +171,12 @@ func (e *fefEngine) pick(p *Problem, s *state) (int, int) {
 // ---------------------------------------------------------------------------
 // Per-receiver cached best sender with lazy heaps (ECEF family, BottomUp)
 
-// senderEntry is one candidate sender inside a receiver's heap. key is
-// avail[i] + w as of the last (re-)keying; since avail never decreases it
-// lower-bounds the entry's true current cost.
+// senderEntry is one candidate sender inside a receiver's heap. key is the
+// cost as of the last (re-)keying, which lower-bounds the entry's true
+// current cost; re-keying reads the static edge costs from the receiver's
+// transposed columns, so an entry carries none.
 type senderEntry struct {
 	key float64
-	w   float64 // static edge cost W[i][j]
 	i   int32
 }
 
@@ -209,13 +226,13 @@ func (h *senderHeap) siftDown(i int) {
 	}
 }
 
-// best returns the candidate minimising the current cost avail[i] + w,
-// lowest sender index on ties. Stale tops are re-keyed in place and sifted
-// down; keys only grow, so the first fresh top is the true minimum.
-func (h *senderHeap) best(avail []float64) senderEntry {
+// best returns receiver j's candidate minimising the current cost, lowest
+// sender index on ties. Stale tops are re-keyed in place and sifted down;
+// keys only grow, so the first fresh top is the true minimum.
+func (h *senderHeap) best(rc *recvCache, st *segState, j int) senderEntry {
 	for {
 		top := h.es[0]
-		cur := avail[top.i] + top.w
+		cur := rc.keyOf(st, j, top.i)
 		if cur == top.key {
 			return top
 		}
@@ -235,23 +252,33 @@ const flatRequeryLimit = 16
 
 // recvCache is the per-receiver candidate store shared by the ECEF-family
 // and BottomUp engines: the cached best sender (cost value and index) per
-// receiver, invalidated lazily. Requeries scan the join log flat (over the
-// transposed W, so the column is contiguous); receivers requeried more
-// than flatRequeryLimit times get a candidate heap materialised from the
-// join log instead.
+// receiver, invalidated lazily. Requeries scan the join log flat over the
+// transposed cost matrices (so one receiver's column is contiguous);
+// receivers requeried more than flatRequeryLimit times get a candidate heap
+// materialised from the join log instead.
 type recvCache struct {
-	wt         [][]float64 // W transposed: wt[j][i] = W[i][j]
+	sp  *SegmentedProblem
+	kg1 float64 // float64(K-1), the per-segment gap multiplier; 0 selects the K = 1 lanes
+	// gsT and wlT are Gs and Wl transposed (gsT is nil at K = 1, where the
+	// Gs term vanishes). Both are shared and read-only.
+	gsT, wlT   [][]float64
 	heaps      []senderHeap
 	integrated []int32   // per receiver: prefix of joined already in its heap
-	joined     []int32   // senders in join order
-	cKey       []float64 // cached minimal avail[i]+W[i][j] for receiver j
+	joined     []int32   // clusters holding the message, in join order
+	cKey       []float64 // cached minimal cost(i, j) for receiver j
 	cSnd       []int32   // sender attaining cKey[j]
 	nq         []int32   // flat requeries spent per receiver
 	// rem is the SoA lane of receivers still outside A, ascending. Round
 	// scans walk it instead of testing inA per index: the loop touches only
 	// live receivers (contiguous, branch-light) and its ascending order is
 	// exactly the naive scan's ascending-j tie-break order.
-	rem   []int32
+	rem []int32
+	// ready is the contiguous sender lane the scans read. For K > 1 it
+	// holds last_i = segAt[i][K-1], fixed once i joins A, and the scans
+	// read busy_i beside it. At K = 1 it holds the whole sender term
+	// av_i = max(busy_i, last_i), refreshed when i transmits, so the scans
+	// read this one lane. Filled by sync when the sender is first folded.
+	ready []float64
 	csync int   // prefix of joined already compared against caches
 	lastI int32 // sender of the previous round (-1 before round 0)
 }
@@ -281,19 +308,82 @@ func remDrop(rem []int32, j int32) []int32 {
 	return append(rem[:lo], rem[lo+1:]...)
 }
 
+// transpose returns src^T for an n×n matrix, in one backing array.
+func transpose(src [][]float64, n int) [][]float64 {
+	dst := make([][]float64, n)
+	backing := make([]float64, n*n)
+	for j := 0; j < n; j++ {
+		dst[j] = backing[j*n : (j+1)*n : (j+1)*n]
+	}
+	for i := 0; i < n; i++ {
+		for j, w := range src[i][:n] {
+			dst[j][i] = w
+		}
+	}
+	return dst
+}
+
+// oneSegReady is sender i's K = 1 term av_i = max(busy_i, last_i): the
+// moment its next transmission starts (transmit's b), which equals the
+// unsegmented avail[i] bit for bit.
+func oneSegReady(st *segState, i int32) float64 {
+	av := st.busy[i]
+	if a := st.segAt[i][0]; a > av {
+		av = a
+	}
+	return av
+}
+
+// keyOf computes the current cost of sender i for receiver j with the
+// exact expression order of the naive lastSegEstimate + Wl scan.
+func (rc *recvCache) keyOf(st *segState, j int, i int32) float64 {
+	if rc.kg1 == 0 {
+		return rc.ready[i] + rc.wlT[j][i]
+	}
+	key := st.busy[i] + rc.kg1*rc.gsT[j][i]
+	if a := rc.ready[i]; a > key {
+		key = a
+	}
+	return key + rc.wlT[j][i]
+}
+
 // sync brings the caches up to date with the previous round. Senders that
-// joined A since the last sync are compared flat against every cached best
-// (their candidate either beats it or goes to the join log for later);
-// then every receiver whose cached best sender transmitted last round is
-// requeried — candidates of all other senders kept their exact cost, so
-// the remaining caches stay valid minima.
-func (rc *recvCache) sync(p *Problem, s *state) {
-	for _, i := range rc.joined[rc.csync:] {
-		av, row := s.avail[i], p.W[i]
-		for _, j := range rc.rem {
-			key := av + row[j]
-			if key < rc.cKey[j] || (key == rc.cKey[j] && i < rc.cSnd[j]) {
-				rc.cKey[j], rc.cSnd[j] = key, i
+// joined A since the last sync get their ready entry and are compared flat
+// against every cached best (their candidate either beats it or goes to
+// the join log for later); then every receiver whose cached best sender
+// transmitted last round is requeried — candidates of all other senders
+// kept their exact cost, so the remaining caches stay valid minima.
+func (rc *recvCache) sync(st *segState) {
+	sp := rc.sp
+	if rc.kg1 == 0 {
+		if rc.lastI >= 0 {
+			rc.ready[rc.lastI] = oneSegReady(st, rc.lastI)
+		}
+		for _, i := range rc.joined[rc.csync:] {
+			av, row := oneSegReady(st, i), sp.Wl[i]
+			rc.ready[i] = av
+			for _, j := range rc.rem {
+				key := av + row[j]
+				if key < rc.cKey[j] || (key == rc.cKey[j] && i < rc.cSnd[j]) {
+					rc.cKey[j], rc.cSnd[j] = key, i
+				}
+			}
+		}
+	} else {
+		k1 := sp.K - 1
+		for _, i := range rc.joined[rc.csync:] {
+			busy, gsRow, wlRow := st.busy[i], sp.Gs[i], sp.Wl[i]
+			last := st.segAt[i][k1]
+			rc.ready[i] = last
+			for _, j := range rc.rem {
+				key := busy + rc.kg1*gsRow[j]
+				if last > key {
+					key = last
+				}
+				key += wlRow[j]
+				if key < rc.cKey[j] || (key == rc.cKey[j] && i < rc.cSnd[j]) {
+					rc.cKey[j], rc.cSnd[j] = key, i
+				}
 			}
 		}
 	}
@@ -301,7 +391,7 @@ func (rc *recvCache) sync(p *Problem, s *state) {
 	if rc.lastI >= 0 {
 		for _, j := range rc.rem {
 			if rc.cSnd[j] == rc.lastI {
-				rc.requery(p, s, int(j))
+				rc.requery(st, int(j))
 			}
 		}
 	}
@@ -310,14 +400,28 @@ func (rc *recvCache) sync(p *Problem, s *state) {
 // requery recomputes receiver j's cached best: a flat scan over the join
 // log while the receiver stays under its flat budget, its candidate heap
 // (materialised on first use) afterwards.
-func (rc *recvCache) requery(p *Problem, s *state, j int) {
+func (rc *recvCache) requery(st *segState, j int) {
 	if rc.nq[j] < flatRequeryLimit {
 		rc.nq[j]++
-		col, avail := rc.wt[j], s.avail
+		wlCol, ready := rc.wlT[j], rc.ready
 		bk, bi := math.Inf(1), int32(-1)
-		for _, i := range rc.joined {
-			if key := avail[i] + col[i]; key < bk || (key == bk && i < bi) {
-				bk, bi = key, i
+		if rc.kg1 == 0 {
+			for _, i := range rc.joined {
+				if key := ready[i] + wlCol[i]; key < bk || (key == bk && i < bi) {
+					bk, bi = key, i
+				}
+			}
+		} else {
+			gsCol := rc.gsT[j]
+			for _, i := range rc.joined {
+				key := st.busy[i] + rc.kg1*gsCol[i]
+				if a := ready[i]; a > key {
+					key = a
+				}
+				key += wlCol[i]
+				if key < bk || (key == bk && i < bi) {
+					bk, bi = key, i
+				}
 			}
 		}
 		rc.cKey[j], rc.cSnd[j] = bk, bi
@@ -326,12 +430,11 @@ func (rc *recvCache) requery(p *Problem, s *state, j int) {
 	h := &rc.heaps[j]
 	if int(rc.integrated[j]) < len(rc.joined) {
 		if h.es == nil {
-			h.es = make([]senderEntry, 0, p.N)
+			h.es = make([]senderEntry, 0, rc.sp.N)
 		}
 		build := len(h.es) == 0
 		for _, i := range rc.joined[rc.integrated[j]:] {
-			w := rc.wt[j][i]
-			e := senderEntry{key: s.avail[i] + w, w: w, i: i}
+			e := senderEntry{key: rc.keyOf(st, j, i), i: i}
 			if build {
 				h.es = append(h.es, e)
 			} else {
@@ -343,7 +446,7 @@ func (rc *recvCache) requery(p *Problem, s *state, j int) {
 		}
 		rc.integrated[j] = int32(len(rc.joined))
 	}
-	se := h.best(s.avail)
+	se := h.best(rc, st, j)
 	rc.cKey[j], rc.cSnd[j] = se.key, se.i
 }
 
@@ -422,10 +525,10 @@ func (h *laHeap) top(c *int32, inA []bool) laEntry {
 }
 
 // ---------------------------------------------------------------------------
-// Lookahead set: the cached F(j) extrema shared by the unsegmented and
-// segmented ECEF-family engines. The lookahead ranks whole-future utility
-// off p.W and p.T; segmented problems pass their laProblem view, whose T is
-// the effective local-phase duration vector.
+// Lookahead set: the cached F(j) extrema of the ECEF-family engine. The
+// lookahead ranks whole-future utility off the full-message W and a T
+// vector: the Problem's own, or under the end-to-end pipeline the
+// laProblem view whose T is the effective local-phase duration vector.
 
 // lookaheadSet holds the per-receiver lookahead heaps — an EnginePool
 // template's, shared with every engine the pool readies on it — this
@@ -461,16 +564,12 @@ func laEntriesFor(backing []laEntry, h ecef, p *Problem, j int) []laEntry {
 	return backing
 }
 
-// laHeapsFor builds the heapified lookahead heaps of every receiver j with
-// !skip[j] (skip may be nil) over one backing array; skipped receivers get
-// an empty heap.
-func laHeapsFor(h ecef, p *Problem, skip []bool) []laHeap {
+// laHeapsFor builds the heapified lookahead heaps of every receiver over
+// one backing array.
+func laHeapsFor(h ecef, p *Problem) []laHeap {
 	heaps := make([]laHeap, p.N)
 	backing := make([]laEntry, 0, p.N*(p.N-1))
 	for j := range heaps {
-		if skip != nil && skip[j] {
-			continue
-		}
 		start := len(backing)
 		backing = laEntriesFor(backing, h, p, j)
 		heaps[j].es = backing[start:len(backing):len(backing)]
@@ -504,17 +603,18 @@ func (ls *lookaheadSet) recompute(j int, inA []bool) {
 // ---------------------------------------------------------------------------
 // ECEF family engine
 
-// ecefEngine is the incremental picker for ECEF and its lookahead variants.
+// ecefEngine is the incremental picker for ECEF and its lookahead variants:
+// minimise the estimated last-segment arrival plus F(j).
 type ecefEngine struct {
 	h  ecef
 	rc recvCache
 	lookaheadSet
 }
 
-func (e *ecefEngine) Name() string { return e.h.name }
+func (e *ecefEngine) segName() string { return e.h.name }
 
-func (e *ecefEngine) pick(p *Problem, s *state) (int, int) {
-	e.rc.sync(p, s)
+func (e *ecefEngine) pickSeg(_ *SegmentedProblem, st *segState) (int, int) {
+	e.rc.sync(st)
 	best := math.Inf(1)
 	bi, bj := -1, -1
 	if e.la == nil {
@@ -525,7 +625,7 @@ func (e *ecefEngine) pick(p *Problem, s *state) (int, int) {
 		}
 	} else {
 		for _, j := range e.rc.rem {
-			e.refresh(int(j), s.inA)
+			e.refresh(int(j), st.inA)
 			if c := e.rc.cKey[j] + e.fVal[j]; c < best {
 				best, bi, bj = c, int(e.rc.cSnd[j]), int(j)
 			}
@@ -535,21 +635,45 @@ func (e *ecefEngine) pick(p *Problem, s *state) (int, int) {
 	return bi, bj
 }
 
+// resume re-targets a freshly readied engine at a schedule whose first
+// rounds were decided elsewhere (A is inA, in join order joined): the first
+// sync folds the whole join log with the exact lexicographic-minimum
+// comparison, and the lookahead extrema are recomputed over the current B.
+// Both are state-free functions of A and the state's times, so the build
+// continues as a from-scratch engine reaching the same round would.
+func (e *ecefEngine) resume(inA []bool, joined []int32) {
+	rc := &e.rc
+	rc.joined = append(rc.joined[:0], joined...)
+	rc.rem = rc.rem[:0]
+	for j, in := range inA {
+		if !in {
+			rc.rem = append(rc.rem, int32(j))
+		}
+	}
+	if e.la != nil {
+		for _, j := range rc.rem {
+			e.recompute(int(j), inA)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // BottomUp engine
 
 // buEngine is the incremental BottomUp picker: per-receiver best sender,
-// then the receiver whose cheapest completion is the largest.
+// then the receiver whose cheapest estimated completion — last-segment
+// arrival plus the effective local phase (estT) — is the largest.
 type buEngine struct{ rc recvCache }
 
-func (buEngine) Name() string { return BottomUp{}.Name() }
+func (buEngine) segName() string { return BottomUp{}.Name() }
 
-func (e *buEngine) pick(p *Problem, s *state) (int, int) {
-	e.rc.sync(p, s)
+func (e *buEngine) pickSeg(sp *SegmentedProblem, st *segState) (int, int) {
+	e.rc.sync(st)
+	ts := sp.estT()
 	worst := math.Inf(-1)
 	bi, bj := -1, -1
 	for _, j := range e.rc.rem {
-		if c := e.rc.cKey[j] + p.T[j]; c > worst {
+		if c := e.rc.cKey[j] + ts[j]; c > worst {
 			worst, bi, bj = c, int(e.rc.cSnd[j]), int(j)
 		}
 	}

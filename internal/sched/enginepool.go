@@ -8,13 +8,21 @@ import (
 
 // EnginePool is the one place that readies the incremental engines: every
 // schedule the package builds — Heuristic.Schedule, ScheduleSegmented,
-// ScheduleTraced and the Pipelined ladder — runs through a pool. It
-// amortises the engines' setup cost across repeated constructions with two
-// mechanisms:
+// ScheduleTraced, the Pipelined ladder and the Replanner's continuation —
+// runs through a pool, on one engine per picker. A whole-message Problem
+// is built as its one-segment SegmentedProblem view (oneSegment) and its
+// Schedule is read off the one-segment result, so Schedule and
+// ScheduleSegmented run the same engine code. The pool amortises the
+// engines' setup cost across repeated constructions with three mechanisms:
 //
 //   - Buffer reuse: the candidate caches, sender heaps and lookahead
 //     cursors are allocated once per pool (per cluster count) and reset in
 //     O(N) per schedule, so steady-state scheduling stops allocating.
+//   - Transposes: the receiver cache scans cost columns. At K = 1 it reads
+//     W's transpose from the grid's cost store (Problem.transposedW) and
+//     needs no Gs at all; for K > 1 the pool caches the transposes of Gs
+//     and Wl per matrix identity (transposeOf), so ladder rungs and
+//     repeated schedules at one segment size skip the O(N²) rebuild.
 //   - Lookahead templates: the per-receiver lookahead heaps depend only on
 //     W (and T for the -LAt/-LAT variants) — not on the root, because the
 //     engine already discards members lazily once they join A. The pool
@@ -23,10 +31,11 @@ import (
 //     each keeps one cursor per receiver into the heap's pop order, and
 //     the heap extracts its minima in place, once per template, the first
 //     time any build's cursor reaches them (laHeap.top). Later schedules —
-//     any root, same platform and size — start in O(N). The root's entries
-//     are skipped on first access exactly like any cluster that joined A,
-//     so the produced schedules stay bit-identical to the naive reference
-//     pickers (pinned by the equivalence tests).
+//     any root, same platform and size, whole-message or segmented — start
+//     in O(N). The root's entries are skipped on first access exactly like
+//     any cluster that joined A, so the produced schedules stay
+//     bit-identical to the naive reference pickers (pinned by the
+//     equivalence tests).
 //
 // A pool is NOT safe for concurrent use: callers without a pool of their
 // own check one out of a package sync.Pool per build (poolSchedule), and
@@ -37,7 +46,7 @@ type EnginePool struct {
 	// Shared receiver cache for the ECEF-family and BottomUp engines.
 	rc recvCache
 
-	// Engine shells, reused so Schedule allocates nothing in steady state.
+	// Engine shells, reused so builds allocate no engine in steady state.
 	ecefShell ecefEngine
 	buShell   buEngine
 	fefShell  fefEngine
@@ -47,13 +56,6 @@ type EnginePool struct {
 	fefCSnd  []int32
 	fefFresh []int32
 	fefRem   []int32
-
-	// Segmented-engine buffers (allocated on first segmented schedule).
-	segN        int
-	segRc       segRecvCache
-	segEcefShel segEcefEngine
-	segBuShell  segBuEngine
-	segFefShell segFefEngine
 
 	// Lookahead cursors and extrema, allocated on the first lookahead
 	// engine (the heaps themselves are the template's).
@@ -76,8 +78,8 @@ type EnginePool struct {
 
 // poolBudget bounds the bytes an EnginePool's caches hold: lookahead
 // templates (N·(N−1)·16 B each) and segmented transposes (N²·8 B each).
-// It holds the full default ladder at N = 512 (24 transposes and 3
-// templates, about 63 MB) and about 500 templates at N = 128. Each entry pins
+// It holds the full default ladder at N = 512 (22 transposes and 3
+// templates, about 59 MB) and about 500 templates at N = 128. Each entry pins
 // at most one cost matrix of its own size, so what the caches keep alive
 // of evicted cost-store entries is bounded by the same figure. Eviction
 // only drops the cache's reference: an engine holding an evicted entry
@@ -143,27 +145,56 @@ func poolSchedule(h Heuristic, p *Problem) *Schedule {
 	return ep.Schedule(h, p)
 }
 
-// Schedule builds p's schedule with h through the pool's recycled engines.
-// Heuristics without an incremental engine (Optimal, custom heuristics)
-// build through their own Schedule.
+// Schedule builds p's schedule with h through the pool's recycled engines,
+// on p's one-segment view (Mixed through its inner pick, named Mixed).
+// Refined refines the pooled base schedule; heuristics without an
+// incremental engine (Optimal, custom heuristics) build through their own
+// Schedule.
 func (ep *EnginePool) Schedule(h Heuristic, p *Problem) *Schedule {
-	switch hh := h.(type) {
-	case FlatTree:
-		return run(&flatEngine{d: 1}, p)
-	case FEF:
-		return run(ep.fefFor(hh, p), p)
-	case ecef:
-		return run(ep.ecefFor(hh, p), p)
-	case BottomUp:
-		return run(ep.buFor(p), p)
-	case Mixed:
-		sc := ep.Schedule(hh.inner(p), p)
-		sc.Heuristic = hh.Name()
-		return sc
-	case Refined:
-		return Refine(p, ep.Schedule(hh.Base, p), hh.MaxRounds)
+	if r, ok := h.(Refined); ok {
+		return Refine(p, ep.Schedule(r.Base, p), r.MaxRounds)
+	}
+	sp := oneSegment(p)
+	if pol := ep.engineFor(h, sp); pol != nil {
+		return segmentedWith(h, sp, pol, nil, math.Inf(1)).whole()
 	}
 	return h.Schedule(p)
+}
+
+// oneSegment returns p's one-segment view: the whole message is the only
+// (and so the last) segment, with the full-message matrices aliased as
+// NewSegmentedProblem does at K = 1. Building it looks up no costs.
+func oneSegment(p *Problem) *SegmentedProblem {
+	return &SegmentedProblem{Problem: p, SegSize: p.MsgSize, LastSize: p.MsgSize, K: 1,
+		Gs: p.G, Gl: p.G, Wl: p.W}
+}
+
+// whole reads the unsegmented Schedule off a one-segment build. At K = 1
+// the per-segment timing is the unsegmented model's arithmetic (FirstRT
+// equals RT), so the Schedule aliases the build's slices.
+func (ss *SegmentedSchedule) whole() *Schedule {
+	return &Schedule{Heuristic: ss.Heuristic, Root: ss.Root, Events: ss.Events,
+		RT: ss.RT, Idle: ss.Idle, Completion: ss.Completion, Makespan: ss.Makespan}
+}
+
+// engineFor readies the pooled incremental picker for h on sp, or returns
+// nil when h has none.
+func (ep *EnginePool) engineFor(h Heuristic, sp *SegmentedProblem) segPolicy {
+	switch hh := h.(type) {
+	case FlatTree:
+		return &flatEngine{d: 1}
+	case FEF:
+		return ep.fefFor(hh, sp.Problem)
+	case ecef:
+		return ep.ecefFor(hh, sp)
+	case BottomUp:
+		ep.resetRecvCache(sp)
+		ep.buShell = buEngine{rc: ep.rc}
+		return &ep.buShell
+	case Mixed:
+		return ep.engineFor(hh.inner(sp.Problem), sp)
+	}
+	return nil
 }
 
 // ensure sizes the pooled O(N) buffers for n clusters; the O(N²)
@@ -181,6 +212,7 @@ func (ep *EnginePool) ensure(n int) {
 		cSnd:       make([]int32, n),
 		nq:         make([]int32, n),
 		rem:        make([]int32, 0, n),
+		ready:      make([]float64, n),
 	}
 	ep.fefCW = make([]float64, n)
 	ep.fefCSnd = make([]int32, n)
@@ -188,21 +220,33 @@ func (ep *EnginePool) ensure(n int) {
 	ep.fefRem = make([]int32, 0, n)
 }
 
-// resetRecvCache restores the shared receiver cache to its initial state
-// for p, keeping every allocation (including lazily grown sender heaps).
-func (ep *EnginePool) resetRecvCache(p *Problem) {
-	ep.ensure(p.N)
+// resetRecvCache re-targets the shared receiver cache at sp in its initial
+// state, keeping every allocation (lazily grown sender heaps included). Its
+// shared, read-only transposes: the cost store's WT when Wl is W (K = 1),
+// the pool's cached ones otherwise, and Gs only for K > 1.
+func (ep *EnginePool) resetRecvCache(sp *SegmentedProblem) {
+	ep.ensure(sp.N)
 	rc := &ep.rc
-	rc.wt = p.transposedW()
-	for j := 0; j < p.N; j++ {
+	rc.sp = sp
+	rc.kg1 = float64(sp.K - 1)
+	rc.gsT, rc.wlT = nil, nil
+	if sp.K > 1 {
+		rc.gsT = ep.transposeOf(sp.Gs, sp.N)
+	}
+	if &sp.Wl[0][0] == &sp.W[0][0] {
+		rc.wlT = sp.transposedW()
+	} else {
+		rc.wlT = ep.transposeOf(sp.Wl, sp.N)
+	}
+	for j := 0; j < sp.N; j++ {
 		rc.heaps[j].es = rc.heaps[j].es[:0]
 		rc.integrated[j] = 0
 		rc.nq[j] = 0
 		rc.cKey[j] = math.Inf(1)
 		rc.cSnd[j] = -1
 	}
-	rc.joined = append(rc.joined[:0], int32(p.Root))
-	rc.rem = remInit(rc.rem, p.N, p.Root)
+	rc.joined = append(rc.joined[:0], int32(sp.Root))
+	rc.rem = remInit(rc.rem, sp.N, sp.Root)
 	rc.csync = 0
 	rc.lastI = -1
 }
@@ -221,22 +265,17 @@ func (ep *EnginePool) fefFor(h FEF, p *Problem) *fefEngine {
 	return e
 }
 
-// buFor readies the pooled BottomUp engine.
-func (ep *EnginePool) buFor(p *Problem) *buEngine {
-	ep.resetRecvCache(p)
-	e := &ep.buShell
-	*e = buEngine{rc: ep.rc}
-	return e
-}
-
 // ecefFor readies the pooled engine for an ECEF-family heuristic, reading
 // the lookahead heaps of the platform's template.
-func (ep *EnginePool) ecefFor(h ecef, p *Problem) *ecefEngine {
-	ep.resetRecvCache(p)
+func (ep *EnginePool) ecefFor(h ecef, sp *SegmentedProblem) *ecefEngine {
+	ep.resetRecvCache(sp)
 	e := &ep.ecefShell
 	*e = ecefEngine{h: h, rc: ep.rc}
 	if h.kind != laNone {
-		ep.loadLookahead(&e.lookaheadSet, h, p, false)
+		// The local key flag follows the lookahead problem actually used:
+		// the coordinator-estimate pass of coordGuard strips the TL view
+		// and must share the plain-T template.
+		ep.loadLookahead(&e.lookaheadSet, h, sp.laProblem(), sp.lap != nil)
 	}
 	return e
 }
@@ -273,16 +312,15 @@ func (ep *EnginePool) loadLookahead(ls *lookaheadSet, h ecef, p *Problem, local 
 // Segmented scheduling through the pool
 
 // ScheduleSegmented builds sp's pipelined schedule with h through the
-// pool's recycled segmented engines, reusing the candidate caches, the
-// per-segment transposes and the lookahead templates (the lookahead keys
-// off the full-message W and the effective T vector, so plain-T templates
-// are shared with the unsegmented engines — any segment size, same
-// platform — while the end-to-end pipeline's TL views get their own key).
-// Below segEngineMinN clusters the naive segmented pickers build instead;
-// heuristics without a native segmented picker re-time their unsegmented
-// tree (h.Schedule) under the per-segment model. Under the end-to-end
-// pipeline the result is never worse than h's coordinator-only schedule at
-// the same segmentation (coordGuard).
+// pool's recycled engines, reusing the candidate caches, the per-segment
+// transposes and the lookahead templates (the lookahead keys off the
+// full-message W and the effective T vector, so plain-T templates are
+// shared with whole-message builds — any segment size, same platform —
+// while the end-to-end pipeline's TL views get their own key). Heuristics
+// without a native segmented picker re-time their unsegmented tree
+// (h.Schedule) under the per-segment model. Under the end-to-end pipeline
+// the result is never worse than h's coordinator-only schedule at the same
+// segmentation (coordGuard).
 func (ep *EnginePool) ScheduleSegmented(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
 	return ep.scheduleSegmented(h, sp, math.Inf(1), &fallbackTree{h: h})
 }
@@ -293,71 +331,8 @@ func (ep *EnginePool) ScheduleSegmented(h Heuristic, sp *SegmentedProblem) *Segm
 // (h's own tree) is used only when h has no native segmented picker.
 func (ep *EnginePool) scheduleSegmented(h Heuristic, sp *SegmentedProblem, bound float64, fallback *fallbackTree) *SegmentedSchedule {
 	return coordGuard(h, sp, bound, func(spx *SegmentedProblem, bound float64) *SegmentedSchedule {
-		if spx.N < segEngineMinN {
-			return segmentedWith(h, spx, segPolicyFor(h, spx), fallback, bound)
-		}
-		return ep.scheduleSegmentedOnce(h, spx, bound, fallback)
+		return segmentedWith(h, spx, ep.engineFor(h, spx), fallback, bound)
 	})
-}
-
-// scheduleSegmentedOnce is one coordGuard pass through the pooled segmented
-// engines, whatever the cluster count.
-func (ep *EnginePool) scheduleSegmentedOnce(h Heuristic, sp *SegmentedProblem, bound float64, fallback *fallbackTree) *SegmentedSchedule {
-	return segmentedWith(h, sp, ep.segEngineFor(h, sp), fallback, bound)
-}
-
-// segEngineFor readies the pooled incremental segmented picker for h, or
-// returns nil when h has none.
-func (ep *EnginePool) segEngineFor(h Heuristic, sp *SegmentedProblem) segPolicy {
-	switch hh := h.(type) {
-	case FlatTree:
-		return &flatSegEngine{d: 1}
-	case FEF:
-		ep.segFefShell = segFefEngine{e: ep.fefFor(hh, sp.Problem)}
-		return &ep.segFefShell
-	case ecef:
-		ep.ensureSeg(sp)
-		e := &ep.segEcefShel
-		*e = segEcefEngine{h: hh, rc: ep.segRc}
-		if hh.kind != laNone {
-			// The local key flag follows the lookahead problem actually
-			// used: the coordinator-estimate pass of coordGuard strips the
-			// TL view and must share the plain-T template.
-			ep.loadLookahead(&e.lookaheadSet, hh, sp.laProblem(), sp.lap != nil)
-		}
-		return e
-	case BottomUp:
-		ep.ensureSeg(sp)
-		ep.segBuShell = segBuEngine{rc: ep.segRc}
-		return &ep.segBuShell
-	case Mixed:
-		return ep.segEngineFor(hh.inner(sp.Problem), sp)
-	}
-	return nil
-}
-
-// ensureSeg sizes and resets the pooled segmented receiver cache for sp.
-// The Gs/Wl transposes come from the pool's per-matrix-identity cache:
-// ladder rungs and repeated schedules at the same segment size skip the
-// O(N²) rebuild. ep.segRc therefore only aliases shared, read-only
-// transposes.
-func (ep *EnginePool) ensureSeg(sp *SegmentedProblem) {
-	ep.ensure(sp.N)
-	if ep.segN != sp.N {
-		ep.segN = sp.N
-		n := sp.N
-		ep.segRc = segRecvCache{
-			heaps:      make([]segSenderHeap, n),
-			integrated: make([]int32, n),
-			joined:     make([]int32, 0, n),
-			cKey:       make([]float64, n),
-			cSnd:       make([]int32, n),
-			nq:         make([]int32, n),
-			rem:        make([]int32, 0, n),
-			last:       make([]float64, n),
-		}
-	}
-	ep.segRc.resetWith(sp, ep.transposeOf(sp.Gs, sp.N), ep.transposeOf(sp.Wl, sp.N))
 }
 
 // transposeOf returns (building and caching on demand) the transpose of
@@ -375,7 +350,7 @@ func (ep *EnginePool) transposeOf(m [][]float64, n int) [][]float64 {
 	}
 	e := &cached{mkey: key, bytes: int64(n)*int64(n)*8 + int64(n)*24}
 	ep.evict(e.bytes)
-	e.tr = transpose(nil, m, n)
+	e.tr = transpose(m, n)
 	ep.segTrans[key] = e
 	ep.admit(e)
 	return e.tr
@@ -398,7 +373,7 @@ func (ep *EnginePool) template(h ecef, p *Problem, local bool) *laTemplate {
 		bytes += int64(n) * 8
 	}
 	ep.evict(bytes)
-	tpl := &laTemplate{n: n, heaps: laHeapsFor(h, p, nil)}
+	tpl := &laTemplate{n: n, heaps: laHeapsFor(h, p)}
 	if h.kind != laMinW {
 		tpl.t = append([]float64(nil), p.T...)
 	}

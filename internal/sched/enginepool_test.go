@@ -94,9 +94,9 @@ func (descending) Schedule(p *Problem) *Schedule {
 }
 
 // TestEnginePoolFallback covers heuristics without pooled engines: they
-// delegate to their own Schedule. Segmented builds below segEngineMinN
-// re-time that unsegmented tree (h.Schedule, not Reference, which panics
-// on Optimal and custom heuristics) under the per-segment model.
+// delegate to their own Schedule. Segmented builds re-time that
+// unsegmented tree (h.Schedule, not Reference, which panics on Optimal and
+// custom heuristics) under the per-segment model.
 func TestEnginePoolFallback(t *testing.T) {
 	ep := NewEnginePool()
 	p := MustProblem(topology.RandomGrid(stats.NewRand(3), 9), 0, 1<<20, Options{})
@@ -104,9 +104,6 @@ func TestEnginePoolFallback(t *testing.T) {
 	assertIdentical(t, h.Name(), ep.Schedule(h, p), h.Schedule(p))
 
 	sp := MustSegmentedProblem(topology.RandomGrid(stats.NewRand(3), 9), 0, 1<<20, 256<<10, Options{})
-	if sp.N >= segEngineMinN {
-		t.Fatalf("test premise broken: %d clusters is not below segEngineMinN", sp.N)
-	}
 	for _, h := range []Heuristic{Optimal{}, Refined{Base: ECEFLA(), MaxRounds: 1}, descending{}} {
 		want := EvaluateSegmented(sp, pairsOf(h.Schedule(sp.Problem)))
 		want.Heuristic = h.Name()
@@ -117,7 +114,7 @@ func TestEnginePoolFallback(t *testing.T) {
 
 // TestPooledScheduleParallelCallers drives Heuristic.Schedule and
 // ScheduleSegmented, which share the package's pool of engine pools, from
-// 8 goroutines at once, on both sides of segEngineMinN. Every build must
+// 8 goroutines at once, on small and large platforms. Every build must
 // equal its sequential counterpart; run under -race it also pins that no
 // two callers ever share a checked-out pool.
 func TestPooledScheduleParallelCallers(t *testing.T) {

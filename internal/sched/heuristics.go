@@ -273,11 +273,7 @@ func (h Mixed) inner(p *Problem) Heuristic {
 }
 
 // Schedule implements Heuristic.
-func (h Mixed) Schedule(p *Problem) *Schedule {
-	sc := h.inner(p).Schedule(p)
-	sc.Heuristic = h.Name()
-	return sc
-}
+func (h Mixed) Schedule(p *Problem) *Schedule { return poolSchedule(h, p) }
 
 // ---------------------------------------------------------------------------
 // Registry

@@ -25,10 +25,10 @@ type allReceiverTrace struct {
 	fd           [][]fDelta
 }
 
-func (t *allReceiverTrace) Name() string { return t.e.Name() }
+func (t *allReceiverTrace) segName() string { return t.e.segName() }
 
-func (t *allReceiverTrace) pick(p *Problem, s *state) (int, int) {
-	i, j := t.e.pick(p, s)
+func (t *allReceiverTrace) pickSeg(p *SegmentedProblem, st *segState) (int, int) {
+	i, j := t.e.pickSeg(p, st)
 	rc, ls := &t.e.rc, &t.e.lookaheadSet
 	if t.kd == nil {
 		t.initK, t.prevK = slices.Clone(rc.cKey), slices.Clone(rc.cKey)
@@ -66,8 +66,9 @@ func (t *allReceiverTrace) pick(p *Problem, s *state) (int, int) {
 func assertTraceMatchesAllReceiverDiff(t *testing.T, label string, ep *EnginePool, h ecef, p *Problem) {
 	t.Helper()
 	sc, tr := ScheduleTraced(ep, h, p)
-	ref := &allReceiverTrace{e: NewEnginePool().ecefFor(h, p)}
-	if want := run(ref, p); !reflect.DeepEqual(sc, want) {
+	sp := oneSegment(p)
+	ref := &allReceiverTrace{e: NewEnginePool().ecefFor(h, sp)}
+	if want := runSegmented(ref, sp, math.Inf(1)).whole(); !reflect.DeepEqual(sc, want) {
 		t.Fatalf("%s: traced schedule differs from the oracle's", label)
 	}
 	if !reflect.DeepEqual(tr.initK, ref.initK) || !reflect.DeepEqual(tr.initS, ref.initS) ||

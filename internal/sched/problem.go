@@ -59,7 +59,7 @@ func (p *Problem) transposedW() [][]float64 {
 	if p.costs != nil {
 		return p.costs.WT()
 	}
-	return transpose(nil, p.W, p.N)
+	return transpose(p.W, p.N)
 }
 
 // Options tune problem construction.

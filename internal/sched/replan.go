@@ -54,7 +54,8 @@ import (
 // (sticky per-sender "taint") or the drifted cluster joins A, the replay
 // switches to the dense scan permanently; when the set of tainted senders
 // grows past a threshold, or the drift changes a round's receiver
-// outright, the remaining rounds run on a warm-started engine instead.
+// outright, the remaining rounds run on the pooled engine instead
+// (handOver).
 //
 // Tainting is sticky and senders are compared with the exact float values
 // the engine would use, so ties resolve identically to the naive scan.
@@ -107,9 +108,10 @@ func Traceable(h Heuristic) bool {
 	return ok
 }
 
-// tracedPick wraps the incremental ECEF-family engine and logs its
-// candidate state after every pick: a full copy after round 0, deltas
-// afterwards, staged in the pool's traceBufs. The pool reuses the engine's
+// tracedPick wraps the incremental ECEF-family engine, run on the
+// problem's one-segment view (whose cached key av + W is the unsegmented
+// avail + W), and logs its candidate state after every pick: a full copy
+// after round 0, deltas afterwards, staged in the pool's traceBufs. The pool reuses the engine's
 // buffers across schedules, so every recorded value is copied. A round's
 // sync and lookahead refresh touch only receivers outside A, and entries
 // of receivers already in A are frozen, so each round diffs just the
@@ -130,10 +132,10 @@ type traceBufs struct {
 	prevS, prevT []int32
 }
 
-func (t *tracedPick) Name() string { return t.e.Name() }
+func (t *tracedPick) segName() string { return t.e.segName() }
 
-func (t *tracedPick) pick(p *Problem, s *state) (int, int) {
-	i, j := t.e.pick(p, s)
+func (t *tracedPick) pickSeg(sp *SegmentedProblem, st *segState) (int, int) {
+	i, j := t.e.pickSeg(sp, st)
 	rc, ls, tr := &t.e.rc, &t.e.lookaheadSet, t.tr
 	if len(tr.kOff) == 1 {
 		tr.initK, tr.initS = slices.Clone(rc.cKey), slices.Clone(rc.cSnd)
@@ -181,8 +183,9 @@ func ScheduleTraced(ep *EnginePool, h Heuristic, p *Problem) (*Schedule, *BuildT
 		return ep.Schedule(h, p), nil
 	}
 	tr := &BuildTrace{h: hh, root: p.Root, n: p.N, kOff: make([]int32, 1, p.N), fOff: make([]int32, 1, p.N)}
-	t := &tracedPick{e: ep.ecefFor(hh, p), tr: tr, traceBufs: &ep.trace}
-	sc := run(t, p)
+	sp := oneSegment(p)
+	t := &tracedPick{e: ep.ecefFor(hh, sp), tr: tr, traceBufs: &ep.trace}
+	sc := runSegmented(t, sp, math.Inf(1)).whole()
 	tr.kd, tr.fd = slices.Clone(t.kd), slices.Clone(t.fd)
 	return sc, tr
 }
@@ -258,7 +261,7 @@ func (r *Replanner) Replan(p *Problem, old *Schedule, tr *BuildTrace, changed in
 			bi, bj = rp.densePick(p, s)
 		}
 
-		// Apply with runLoop's exact round arithmetic.
+		// Apply with run's exact round arithmetic.
 		start := s.avail[bi]
 		free := start + p.G[bi][bj]
 		arrive := free + p.L[bi][bj]
@@ -295,8 +298,7 @@ func (r *Replanner) Replan(p *Problem, old *Schedule, tr *BuildTrace, changed in
 		}
 	}
 	if s.sizeA < n {
-		runLoop(rp.warmEngine(p, s), p, s, sched)
-		return sched
+		return rp.handOver(p, sched.Events)
 	}
 	finish(p, s, sched)
 	return sched
@@ -683,40 +685,22 @@ func (rp *replayer) recomputeF(p *Problem, s *state, j int) float64 {
 	return best
 }
 
-// warmEngine builds an ECEF-family engine mid-schedule: the receiver cache
-// starts cold over the full join log (the first sync folds every sender
-// with the exact lexicographic-minimum comparison, so fold order is
-// irrelevant) and the lookahead heaps are rebuilt for the receivers still
-// outside A. Both invariants are state-free functions of (A, avail, W, T),
-// so the continued build is identical to a from-scratch engine reaching the
-// same round.
-func (rp *replayer) warmEngine(p *Problem, s *state) *ecefEngine {
-	n := p.N
-	e := &ecefEngine{h: rp.h}
-	e.rc = recvCache{
-		wt:         p.transposedW(),
-		heaps:      make([]senderHeap, n),
-		integrated: make([]int32, n),
-		joined:     rp.joinOrder,
-		cKey:       make([]float64, n),
-		cSnd:       make([]int32, n),
-		nq:         make([]int32, n),
-		lastI:      -1,
+// handOver finishes the schedule on a pooled ECEF-family engine: the
+// replayed prefix is transmitted on p's one-segment state (at K = 1
+// transmit is run's arithmetic, so the prefix's events and times are the
+// replay's), then the engine is readied mid-schedule over the prefix's A
+// and join order (ecefEngine.resume) and builds the remaining rounds, as a
+// from-scratch engine reaching the same round would.
+func (rp *replayer) handOver(p *Problem, prefix []Event) *Schedule {
+	ep := pools.Get().(*EnginePool)
+	defer pools.Put(ep)
+	sp := oneSegment(p)
+	st := newSegState(sp)
+	defer segStates.Put(st)
+	for _, ev := range prefix {
+		st.commit(sp, ev.From, ev.To)
 	}
-	e.rc.rem = make([]int32, 0, n)
-	for j := 0; j < n; j++ {
-		e.rc.cKey[j] = math.Inf(1)
-		e.rc.cSnd[j] = -1
-		if !s.inA[j] {
-			e.rc.rem = append(e.rc.rem, int32(j))
-		}
-	}
-	if rp.h.kind != laNone {
-		e.lookaheadSet = lookaheadSet{la: laHeapsFor(rp.h, p, s.inA), cur: make([]int32, n),
-			fVal: make([]float64, n), fTop: make([]int32, n), neg: rp.h.kind == laMaxWT}
-		for _, j := range e.rc.rem {
-			e.recompute(int(j), s.inA)
-		}
-	}
-	return e
+	e := ep.ecefFor(rp.h, sp)
+	e.resume(st.inA, rp.joinOrder)
+	return st.run(e, sp, math.Inf(1)).whole()
 }

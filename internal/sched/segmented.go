@@ -13,23 +13,24 @@ package sched
 // each extra segment costs only the fixed part of the gap (g(s) per segment
 // after the first, instead of one monolithic g(m)).
 //
-// Three layers mirror the unsegmented engine:
+// Three layers carry the model:
 //
 //   - SegmentedProblem extends Problem with the per-segment gap matrices,
 //     served by the grid's per-message-size cost store (one entry for
 //     SegSize, one for the remainder segment).
 //   - EvaluateSegmented is the exact evaluator: it replays an explicit
 //     (sender, receiver) sequence segment by segment, tracking when every
-//     cluster holds every segment. With K = 1 it reproduces the unsegmented
-//     engine bit for bit (same expressions, same operation order), which the
-//     golden tests pin.
+//     cluster holds every segment. With K = 1 it reproduces Replay bit for
+//     bit (same expressions, same operation order), which the golden tests
+//     and FuzzEvaluateSegmented pin.
 //   - ScheduleSegmented runs a segment-aware greedy variant of each paper
 //     heuristic: the candidate cost replaces avail[i] + W[i][j] with
 //     max(busy_i + (K-1)·g_s, lastseg_i) + W_last[i][j] — the estimated
 //     arrival of the *last* segment at j — and the chosen pair is then timed
 //     exactly. At K = 1 the cost expression degenerates to the unsegmented
 //     one (0·g_s vanishes, W_last aliases W), so every greedy matches its
-//     unsegmented self exactly.
+//     unsegmented self exactly, and a whole-message build is the one-segment
+//     build (EnginePool.Schedule). The naive pickers below are the oracle.
 //
 // The closed-form pick cost assumes the sender's segments are available no
 // later than max(busy_i + (q-1)·g_s, lastseg_i) for every q; irregular
@@ -151,8 +152,9 @@ func NewSegmentedProblem(g *topology.Grid, root int, m, segSize int64, opt Optio
 		return sp, nil
 	}
 	// The rungs read only g at the segment size and g and W at the last
-	// segment's size; the segmented engines transpose what they scan
-	// themselves (EnginePool.transposeOf), so no WT is derived here.
+	// segment's size. The engine scans Gs and Wl through the pool's cached
+	// transposes (EnginePool.transposeOf), so no WT is derived here; at
+	// K = 1 above it reads the store's W transpose instead.
 	ecs := g.EdgeCosts(segSize)
 	sp.Gs = ecs.G
 	if last == segSize {
@@ -376,20 +378,33 @@ func joinBound(sp *SegmentedProblem, j int, arrive float64) float64 {
 func runSegmented(pol segPolicy, sp *SegmentedProblem, bound float64) *SegmentedSchedule {
 	st := newSegState(sp)
 	defer segStates.Put(st)
+	return st.run(pol, sp, bound)
+}
+
+// commit transmits i → j as the next round and moves j into A; it returns
+// the last segment's arrival at j.
+func (st *segState) commit(sp *SegmentedProblem, i, j int) float64 {
+	start, free, arrive := st.transmit(sp, i, j)
+	st.inA[j] = true
+	st.sizeA++
+	st.events = append(st.events, Event{
+		Round: len(st.events), From: i, To: j,
+		Start: start, SenderFree: free, Arrive: arrive,
+	})
+	return arrive
+}
+
+// run drives the remaining rounds of st (all of them for runSegmented; the
+// tail after a replayed prefix for the Replanner's continuation) under
+// runSegmented's incumbent cut, and derives the final timing.
+func (st *segState) run(pol segPolicy, sp *SegmentedProblem, bound float64) *SegmentedSchedule {
 	cut := bound < math.Inf(1)
-	for round := 0; st.sizeA < sp.N; round++ {
+	for st.sizeA < sp.N {
 		i, j := pol.pickSeg(sp, st)
 		if i < 0 || j < 0 || i >= sp.N || j >= sp.N || !st.inA[i] || st.inA[j] {
-			panic(fmt.Sprintf("sched: segmented %s picked invalid pair (%d,%d) at round %d", pol.segName(), i, j, round))
+			panic(fmt.Sprintf("sched: segmented %s picked invalid pair (%d,%d) at round %d", pol.segName(), i, j, len(st.events)))
 		}
-		start, free, arrive := st.transmit(sp, i, j)
-		st.inA[j] = true
-		st.sizeA++
-		st.events = append(st.events, Event{
-			Round: round, From: i, To: j,
-			Start: start, SenderFree: free, Arrive: arrive,
-		})
-		if cut && joinBound(sp, j, arrive) >= bound {
+		if arrive := st.commit(sp, i, j); cut && joinBound(sp, j, arrive) >= bound {
 			return nil
 		}
 	}
@@ -552,30 +567,16 @@ func lastSegEstimate(sp *SegmentedProblem, st *segState, i, j int) float64 {
 	return sk
 }
 
-// flatSeg is FlatTree under segmentation: the same fixed reception order.
-type flatSeg struct{}
+// treeSeg runs a naive picker that reads only A-membership under
+// segmentation: FlatTree's fixed reception order and FEF's static edge
+// weights (latency, or full-message g+L) are segmentation-independent, so
+// the picked tree is the unsegmented one; only the timing changes.
+type treeSeg struct{ pol policy }
 
-func (flatSeg) segName() string { return FlatTree{}.Name() }
+func (t treeSeg) segName() string { return t.pol.Name() }
 
-func (flatSeg) pickSeg(sp *SegmentedProblem, st *segState) (int, int) {
-	for d := 1; d < sp.N; d++ {
-		j := (sp.Root + d) % sp.N
-		if !st.inA[j] {
-			return sp.Root, j
-		}
-	}
-	return -1, -1
-}
-
-// fefSeg is FEF under segmentation. FEF's edge weights are static (latency,
-// or full-message g+L), so the picked tree is the segmentation-independent
-// FEF tree; only the timing changes.
-type fefSeg struct{ h FEF }
-
-func (f fefSeg) segName() string { return f.h.Name() }
-
-func (f fefSeg) pickSeg(sp *SegmentedProblem, st *segState) (int, int) {
-	return f.h.pick(sp.Problem, &state{inA: st.inA})
+func (t treeSeg) pickSeg(sp *SegmentedProblem, st *segState) (int, int) {
+	return t.pol.pick(sp.Problem, &state{inA: st.inA})
 }
 
 // ecefSeg generalises the ECEF family: minimise the estimated last-segment
@@ -698,10 +699,10 @@ func coordGuard(h Heuristic, sp *SegmentedProblem, bound float64, build func(*Se
 // ScheduleSegmented builds a pipelined schedule for sp with the segment-aware
 // variant of h, through a pool checked out for the call (see
 // EnginePool.ScheduleSegmented). Every paper heuristic (and Mixed) has a
-// native segmented greedy — served by the incremental segmented engine
-// (segengine.go), which is bit-identical to the naive pickers retained
-// below; other heuristics fall back to their unsegmented tree, exactly
-// re-timed under the per-segment model.
+// native segmented greedy — served by the incremental engine (engine.go),
+// which is bit-identical to the naive pickers retained below; other
+// heuristics fall back to their unsegmented tree, exactly re-timed under
+// the per-segment model.
 func ScheduleSegmented(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
 	ep := pools.Get().(*EnginePool)
 	defer pools.Put(ep)
@@ -743,7 +744,7 @@ func segmentedWith(h Heuristic, sp *SegmentedProblem, pol segPolicy, fallback *f
 }
 
 // ScheduleSegmentedReference forces the naive quadratic-scan segmented
-// pickers, the reference the incremental segmented engine is equivalence-
+// pickers, the reference the incremental engine is equivalence-
 // tested and benchmarked against. The produced schedules are identical to
 // ScheduleSegmented's in every field; only the construction cost differs.
 func ScheduleSegmentedReference(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
@@ -754,13 +755,13 @@ func ScheduleSegmentedReference(h Heuristic, sp *SegmentedProblem) *SegmentedSch
 }
 
 // segPolicyFor returns the native NAIVE segmented picker for h, or nil when
-// h has none (see EnginePool.segEngineFor for the incremental counterparts).
+// h has none (see EnginePool.engineFor for the incremental counterparts).
 func segPolicyFor(h Heuristic, sp *SegmentedProblem) segPolicy {
 	switch hh := h.(type) {
 	case FlatTree:
-		return flatSeg{}
+		return treeSeg{pol: hh}
 	case FEF:
-		return fefSeg{h: hh}
+		return treeSeg{pol: hh}
 	case ecef:
 		return ecefSeg{h: hh}
 	case BottomUp:

@@ -40,7 +40,8 @@ func assertSegmentedMatchesUnsegmented(t *testing.T, label string, ss *Segmented
 // TestSegmentedOneSegmentGoldenGrid5000 pins the golden property on the
 // paper's platform: with a single segment every heuristic's segmented
 // schedule equals its unsegmented one bit for bit, at several sizes and
-// every root.
+// every root. Both builds run the one engine, so the naive Reference
+// pickers are the expected side of both.
 func TestSegmentedOneSegmentGoldenGrid5000(t *testing.T) {
 	g := topology.Grid5000()
 	for _, m := range []int64{1 << 10, 1 << 20, 9 << 20} {
@@ -48,8 +49,10 @@ func TestSegmentedOneSegmentGoldenGrid5000(t *testing.T) {
 			p := MustProblem(g, root, m, Options{})
 			sp := MustSegmentedProblem(g, root, m, m, Options{})
 			for _, h := range segmentedHeuristics() {
+				ref := Reference{Base: h}.Schedule(p)
+				assertIdentical(t, h.Name(), h.Schedule(p), ref)
 				ss := ScheduleSegmented(h, sp)
-				assertSegmentedMatchesUnsegmented(t, h.Name(), ss, h.Schedule(p))
+				assertSegmentedMatchesUnsegmented(t, h.Name(), ss, ref)
 				if err := ss.Validate(sp); err != nil {
 					t.Fatalf("%s: %v", h.Name(), err)
 				}
@@ -61,6 +64,7 @@ func TestSegmentedOneSegmentGoldenGrid5000(t *testing.T) {
 // TestSegmentedOneSegmentGoldenRandom extends the golden check to seeded
 // random platforms, both completion models, and segment sizes >= the
 // message (which must also collapse to one segment).
+// The naive Reference pickers are the expected side.
 func TestSegmentedOneSegmentGoldenRandom(t *testing.T) {
 	for trial := 0; trial < 16; trial++ {
 		r := stats.NewRand(stats.SplitSeed(1234, int64(trial)))
@@ -75,7 +79,9 @@ func TestSegmentedOneSegmentGoldenRandom(t *testing.T) {
 		}
 		sp := MustSegmentedProblem(g, trial%n, m, segSize, opt)
 		for _, h := range segmentedHeuristics() {
-			assertSegmentedMatchesUnsegmented(t, h.Name(), ScheduleSegmented(h, sp), h.Schedule(p))
+			ref := Reference{Base: h}.Schedule(p)
+			assertIdentical(t, h.Name(), h.Schedule(p), ref)
+			assertSegmentedMatchesUnsegmented(t, h.Name(), ScheduleSegmented(h, sp), ref)
 		}
 	}
 }
