@@ -41,6 +41,12 @@
 //     or nproc 1, as cmd/benchjson records them — are labelled "not a
 //     speedup measurement": their worker counts time scheduling overhead,
 //     not parallelism. Snapshots without those fields are not labelled.
+//   - A compared snapshot recorded with fewer than 16 -count rounds (as
+//     cmd/benchjson records them; a snapshot without the field counts as
+//     one round) gets a warning line, not a failure: a best-of timing over
+//     few rounds on a noisy host says more about the rounds run than about
+//     the code. When the new snapshot embeds a baseline, only its own
+//     count is checked, since both sides' timings come from its recording.
 //
 // Exit status: 0 when clean, 1 on regressions, 2 on usage or read errors.
 package main
@@ -69,6 +75,7 @@ type result struct {
 type report struct {
 	GeneratedAt  string   `json:"generated_at"`
 	GoVersion    string   `json:"go_version"`
+	Count        int      `json:"count,omitempty"`
 	NProc        int      `json:"nproc,omitempty"`
 	GOMAXPROCS   int      `json:"gomaxprocs,omitempty"`
 	Results      []result `json:"results"`
@@ -175,6 +182,20 @@ func LabelSingleCore(deltas []Delta, r *report) {
 	}
 }
 
+// minCount is the fewest -count rounds a snapshot can record without a
+// warning.
+const minCount = 16
+
+// countWarning returns the warning for snapshot r at path when it records
+// fewer than minCount rounds, or "" when it records enough.
+func countWarning(path string, r *report) string {
+	n := max(r.Count, 1) // benchjson omits count when it is 1
+	if n >= minCount {
+		return ""
+	}
+	return fmt.Sprintf("%s records count %d, below %d: its best-of timings depend on how many rounds were run", path, n, minCount)
+}
+
 // SortSnapshots orders snapshot file names by the first integer embedded in
 // their base name, ascending (BENCH_2.json < BENCH_10.json); names without
 // an integer sort first, lexicographically. The input is not modified.
@@ -259,6 +280,21 @@ func diffFiles(oldPath, newPath string, opt Options, verbose bool, md *strings.B
 	}
 	deltas, added, removed := Compare(oldResults, new.Results, opt)
 	LabelSingleCore(deltas, new)
+	// With an embedded baseline both sides' timings come from the new
+	// snapshot's recording, so only its round count matters.
+	warnings := []string{countWarning(newPath, new)}
+	if len(new.Baseline) == 0 {
+		warnings = append(warnings, countWarning(oldPath, old))
+	}
+	for _, w := range warnings {
+		if w == "" {
+			continue
+		}
+		fmt.Printf("benchdiff: warning: %s\n", w)
+		if md != nil {
+			fmt.Fprintf(md, "> ⚠️ %s\n\n", w)
+		}
+	}
 
 	bad := 0
 	for _, d := range deltas {

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -256,6 +259,57 @@ func TestLabelSingleCoreParallelRows(t *testing.T) {
 			if !strings.Contains(b.String(), "| BenchmarkParallelBuild/n=512/workers=4 | 1000000 → 1000000 | +0.0% | — | ok; "+notSpeedupNote+" |") {
 				t.Errorf("Markdown omits the label:\n%s", b.String())
 			}
+		}
+	}
+}
+
+func TestCountWarning(t *testing.T) {
+	for _, c := range []struct {
+		count int
+		warn  bool
+	}{{0, true}, {5, true}, {15, true}, {16, false}, {20, false}} {
+		w := countWarning("BENCH_9.json", &report{Count: c.count})
+		if (w != "") != c.warn {
+			t.Fatalf("count %d: warning %q, want warn=%v", c.count, w, c.warn)
+		}
+	}
+	if w := countWarning("BENCH_9.json", &report{}); !strings.Contains(w, "BENCH_9.json records count 1, below 16") {
+		t.Fatalf("omitted count: warning %q", w)
+	}
+}
+
+// TestDiffFilesWarnsOnLowCount: a pair with a low-count snapshot reports a
+// warning in the Markdown summary but no regression; with an embedded
+// baseline only the new snapshot's count is checked.
+func TestDiffFilesWarnsOnLowCount(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, rep report) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	rows := []result{{Name: "BenchmarkA", NsPerOp: 1e6, AllocsPerOp: f(10)}}
+	low := write("BENCH_1.json", report{Count: 5, Results: rows})
+	high := write("BENCH_2.json", report{Count: 16, Results: rows})
+	paired := write("BENCH_3.json", report{Count: 16, Results: rows, Baseline: rows})
+	for _, c := range []struct {
+		old, new string
+		warn     bool
+	}{{low, high, true}, {high, low, true}, {high, high, false}, {low, paired, false}} {
+		var md strings.Builder
+		bad, err := diffFiles(c.old, c.new, opts(), false, &md)
+		if err != nil || bad != 0 {
+			t.Fatalf("%s -> %s: %d regressed, err %v", c.old, c.new, bad, err)
+		}
+		if got := strings.Contains(md.String(), "records count 5, below 16"); got != c.warn {
+			t.Fatalf("%s -> %s: warned %v, want %v:\n%s", c.old, c.new, got, c.warn, md.String())
 		}
 	}
 }

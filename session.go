@@ -78,7 +78,11 @@ const DefaultPlanCacheCapacity = 1024
 // Cached plans are shared and immutable: callers must not mutate a *Plan
 // returned by a caching session (Refine already copies on write). Request
 // shapes that cannot affect the schedule bytes — WithReplan, WithContext —
-// are normalized out of the key, so they hit the same entry.
+// are normalized out of the key, so they hit the same entry: the entry
+// carries a replay trace only if the request that built it asked for one
+// (a WithReplan hit on an entry built without it gets an untraced plan,
+// which Session.Replan rebuilds instead of replaying — same bytes, more
+// work).
 func WithPlanCache(capacity int) SessionOption {
 	return func(s *Session) {
 		if capacity <= 0 {
@@ -127,7 +131,8 @@ func (s *Session) Fingerprint() uint64 {
 // lookups that built one, Collapsed lookups that waited on a concurrent
 // build of the same key instead of building again, Evicted plans dropped
 // by the LRU capacity bound, and Migrated plans carried across a Replan
-// drift by trace replay rather than rebuilt.
+// drift into the drifted session's cache (by trace replay, or rebuilt at
+// the drift) rather than dropped.
 type CacheStats struct {
 	Hits      uint64
 	Misses    uint64
@@ -254,7 +259,9 @@ func WithOverlap(on bool) Option { return func(r *Request) { r.overlap = on } }
 // O(affected receivers) instead of rebuilding (DESIGN.md §11). The trace is
 // recorded for pinned traceable heuristics (the ECEF family) planning an
 // unsegmented, unrefined schedule; every other request shape plans normally
-// and Replan falls back to a full rebuild. The planned schedule is bit-identical with or without this option.
+// and Replan falls back to a full rebuild. Without this option no trace is
+// recorded, cached or not. The planned schedule is bit-identical with or
+// without it.
 func WithReplan() Option { return func(r *Request) { r.replan = true } }
 
 // WithNoCache bypasses the session's plan cache for this request: the plan
@@ -327,8 +334,9 @@ type Plan struct {
 	// req echoes the planning request (ctx stripped) so Replan can rebuild
 	// the same request shape on the drifted platform.
 	req Request
-	// trace is the construction replay log recorded under WithReplan for
-	// traceable unsegmented builds; nil otherwise (Replan then rebuilds).
+	// trace is the construction replay log, recorded only when the building
+	// request asked for it (WithReplan) and had a replayable shape; nil
+	// otherwise (Replan then rebuilds).
 	trace *sched.BuildTrace
 	// wire memoises the plan's serialized form (WireBytes). It lives and
 	// dies with the plan, so a plan-cache entry's eviction, invalidation
@@ -408,12 +416,12 @@ func (s *Session) validateRootSize(root int, size int64) error {
 // On a session with WithPlanCache, Plan first consults the cache: a hit
 // returns the resident immutable *Plan (its Stats report the original
 // build), a miss builds and caches it, and concurrent misses on the same
-// key collapse into one build. Cache-resident builds additionally record
-// the construction replay trace whenever the request shape supports it (a
-// pinned ECEF-family heuristic, unsegmented, unrefined) — the schedule is bit-identical either way, and the trace lets
-// Session.Replan migrate the entry across a platform drift. The build
-// itself runs detached from the request's context (it is shared by every
-// collapsed waiter); the context is still checked on entry.
+// key collapse into one build. A cached build records a replay trace
+// exactly when an uncached one would (WithReplan on a replayable shape);
+// Session.Replan migrates replayable entries across a platform drift either
+// way, by replay with a trace and by rebuild without. The build itself runs
+// detached from the request's context (it is shared by every collapsed
+// waiter); the context is still checked on entry.
 func (s *Session) Plan(req Request) (*Plan, error) {
 	pl, _, err := s.PlanInfo(req)
 	return pl, err
@@ -468,10 +476,6 @@ func (s *Session) PlanInfo(req Request) (*Plan, PlanOutcome, error) {
 	v, oc, err := s.cache.DoInfo(s.requestKey(req), func() (any, error) {
 		breq := req
 		breq.ctx = nil
-		if breq.heuristic != nil && !breq.segmented && !breq.pipelined && !breq.refineSet {
-			// Record the replay trace so Replan can migrate this entry.
-			breq.replan = true
-		}
 		pl, err := s.planUncached(breq)
 		if err != nil {
 			return nil, err
@@ -494,8 +498,9 @@ func (s *Session) PlanInfo(req Request) (*Plan, PlanOutcome, error) {
 // requestKey folds the platform fingerprint, the cache generation and the
 // full normalized request option set into the canonical cache key.
 // Parameters that cannot change the schedule bytes are left out: the
-// context, WithReplan (traces are recorded on every eligible cached build)
-// and WithNoCache (bypasses keying entirely). Floats print as %x, so
+// context, WithReplan (it only decides whether the build records a trace,
+// so an entry's trace follows the request that built it) and WithNoCache
+// (bypasses keying entirely). Floats print as %x, so
 // values differing below decimal printing precision key differently.
 // Heuristics key by display name — the exported typed heuristics all carry
 // distinct names; custom sched.Heuristic implementations sharing a name
@@ -640,9 +645,9 @@ func (s *Session) buildOne(ctx context.Context, ep *sched.EnginePool, h Heuristi
 	case req.segmented:
 		return nil, ep.ScheduleSegmented(h, sp), nil, 1, nil
 	default:
-		if req.replan && req.heuristic != nil && !req.refineSet {
+		if req.replan && replayable(req) {
 			// Traced build: bit-identical schedule plus the replay log
-			// Session.Replan consumes (nil for non-traceable heuristics).
+			// Session.Replan consumes.
 			sc, tr = sched.ScheduleTraced(ep, h, p)
 		} else {
 			sc = ep.Schedule(h, p)
@@ -657,6 +662,16 @@ func (s *Session) buildOne(ctx context.Context, ep *sched.EnginePool, h Heuristi
 		}
 		return sc, nil, tr, built, nil
 	}
+}
+
+// replayable reports whether req's plan shape can carry a replay trace: a
+// pinned ECEF-family heuristic (sched.Traceable) planning an unsegmented,
+// unrefined schedule. It decides both when buildOne records a trace
+// (WithReplan requests of this shape) and which cache entries Replan
+// migrates (by replay with a trace, by rebuild without one).
+func replayable(req Request) bool {
+	return req.heuristic != nil && sched.Traceable(req.heuristic) &&
+		!req.segmented && !req.pipelined && !req.refineSet
 }
 
 // PlanBatch plans every request against the session, fanning the work
@@ -794,23 +809,27 @@ func (s *Session) ExecuteBinomialContext(ctx context.Context, root int, size int
 // Replan absorbs a measured single-cluster platform drift into an existing
 // plan: the drifted platform reuses the costs resident in the session's
 // store outside the changed row/column (topology.PatchCosts), and plans
-// that recorded a construction trace (WithReplan, or any eligible
-// cache-resident build) replay it in O(affected receivers) instead of
-// rebuilding (sched.Replanner); everything else re-plans the stored request
-// from scratch on the drifted platform. Either way the returned plan is
-// byte-identical (timing statistics aside) to what Session.Plan on a
-// freshly drifted platform would build — drift absorption never changes
-// the answer, only its cost. Returns the drifted session alongside the
-// plan; the input session and plan are unchanged.
+// that recorded a construction trace (WithReplan) replay it in
+// O(affected receivers) instead of rebuilding (sched.Replanner); everything
+// else re-plans the stored request from scratch on the drifted platform.
+// Either way the returned plan is byte-identical (timing statistics aside)
+// to what Session.Plan on a freshly drifted platform would build — drift
+// absorption never changes the answer, only its cost. Returns the drifted
+// session alongside the plan; the input session and plan are unchanged.
 //
 // On a session with a plan cache, Replan additionally migrates the cached
-// set instead of flushing it: every resident traced plan is replayed onto
-// the drifted platform through one shared replanner — the platform clone
-// and cost patch are paid once and amortized across all entries — and
-// re-keyed under the drifted fingerprint in the returned session's cache,
-// preserving recency order and counting in CacheStats.Migrated. Migrated
-// plans carry no trace of their own (the replay produces none), so a
-// second drift re-plans them; untraced entries are dropped.
+// set instead of flushing it: every resident plan of a replayable shape (a
+// pinned ECEF-family heuristic, unsegmented, unrefined) is carried onto the
+// drifted platform — replayed through one shared replanner when it holds a
+// trace, rebuilt from its stored request when it does not — and re-keyed
+// under the drifted fingerprint in the returned session's cache, preserving
+// recency order and counting in CacheStats.Migrated. The platform clone and
+// cost patch are paid once for the whole set. A replayed plan carries no
+// trace of its own, so the next drift rebuilds it (a rebuild records a
+// fresh trace only for a WithReplan request); either way every replayable
+// entry is migrated again on every later drift. Every other entry (best-of
+// selection, segmented, pipelined, refined, non-ECEF heuristics) is dropped
+// and rebuilds on demand.
 //
 // The plan must have been produced by this session's Plan (hand-built
 // literals and Session.Refine outputs carry no request to re-plan).
@@ -855,7 +874,7 @@ func (s *Session) Replan(old *Plan, d PlatformDelta) (*Session, *Plan, error) {
 			return ns, v.(*Plan), nil
 		}
 	}
-	if mpl := ns.migratePlan(old, d.Cluster, rpl); mpl != nil {
+	if mpl := ns.replayPlan(old, d.Cluster, rpl); mpl != nil {
 		if ns.cache != nil && !req.nocache {
 			ns.cache.Add(ns.requestKey(req), mpl, true)
 		}
@@ -871,12 +890,29 @@ func (s *Session) Replan(old *Plan, d PlatformDelta) (*Session, *Plan, error) {
 	return ns, pl, nil
 }
 
-// migratePlan replays one traced plan onto this (drifted) session's
-// platform through the shared replanner, returning a fresh immutable plan
-// owned by this session, or nil when the plan carries no applicable trace
-// (the caller then re-plans or drops the entry). The replayed schedule is
-// bit-identical to a from-scratch build on the drifted platform.
+// migratePlan carries one cache-resident plan onto this (drifted)
+// session's platform: a traced plan is replayed (replayPlan), an untraced
+// plan of a replayable shape is rebuilt from its stored request, and any
+// other plan returns nil (the caller drops the entry). Either way the
+// result is a fresh immutable plan owned by this session, bit-identical to
+// a from-scratch build on the drifted platform.
 func (ns *Session) migratePlan(old *Plan, changed int, rpl *sched.Replanner) *Plan {
+	if mpl := ns.replayPlan(old, changed, rpl); mpl != nil || !replayable(old.req) {
+		return mpl
+	}
+	pl, err := ns.planUncached(old.req)
+	if err != nil {
+		return nil
+	}
+	return pl
+}
+
+// replayPlan replays one traced plan onto this (drifted) session's
+// platform through the shared replanner, returning a fresh immutable plan
+// owned by this session, or nil when the plan carries no applicable trace.
+// The replayed schedule is bit-identical to a from-scratch build on the
+// drifted platform.
+func (ns *Session) replayPlan(old *Plan, changed int, rpl *sched.Replanner) *Plan {
 	if old.trace == nil || old.Schedule == nil {
 		return nil
 	}
@@ -898,9 +934,9 @@ func (ns *Session) migratePlan(old *Plan, changed int, rpl *sched.Replanner) *Pl
 		Overlap:  req.overlap,
 		net:      req.net, netSet: req.netSet,
 		owner: ns, req: req,
-		// The replay produces no trace of its own; a further Replan on this
-		// plan re-plans the stored request (and, with an eligible shape,
-		// records a fresh trace).
+		// The replay produces no trace of its own; a further drift rebuilds
+		// this plan from its stored request (recording a fresh trace when
+		// the request asked for one).
 		Stats: BuildStats{Duration: time.Since(start), Schedules: 1},
 	}
 }

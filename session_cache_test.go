@@ -308,7 +308,7 @@ func TestRefineCachedPlanCopyOnWrite(t *testing.T) {
 		!reflect.DeepEqual(again.Schedule.Events, eventsBefore) {
 		t.Fatal("refining mutated the cached schedule")
 	}
-	// The cached entry still migrates: it kept its trace and ownership.
+	// The cached entry still replans: it kept its ownership.
 	d := gridbcast.PlatformDelta{Cluster: 1, OutGapScale: 2}
 	if _, _, err := sess.Replan(cachedPlan, d); err != nil {
 		t.Fatalf("cached plan lost replan eligibility after Refine: %v", err)
@@ -332,10 +332,12 @@ func cacheDriftSet(c int) []gridbcast.PlatformDelta {
 }
 
 // TestReplanMigratesCache is the drift-migration contract over the golden
-// drift set: Replan carries every traced resident plan onto the drifted
-// platform, each migrated plan is byte-identical to planning from scratch
-// there, hits on the drifted session need no rebuild, and untraced
-// entries (best-of selection) are dropped and rebuilt on demand.
+// drift set: Replan carries every replayable resident plan onto the
+// drifted platform (these are planned without WithReplan, so they carry no
+// trace and migrate by rebuild), each migrated plan is byte-identical to
+// planning from scratch there, hits on the drifted session need no
+// rebuild, and entries of other shapes (best-of selection) are dropped and
+// rebuilt on demand.
 func TestReplanMigratesCache(t *testing.T) {
 	r := stats.NewRand(23)
 	grids := []*gridbcast.Grid{
@@ -422,6 +424,120 @@ func TestReplanMigratesCache(t *testing.T) {
 			}
 			planContent(t, "best-of rebuild", got, want)
 		}
+	}
+}
+
+// TestReplanRebuildsUntracedHit: a WithReplan request that hits an entry
+// first built without it gets that untraced plan, and Replan carries it
+// across the drift by rebuilding: the returned plan, and the migrated
+// entry a later hit serves, are byte-identical to a scratch build on the
+// drifted platform.
+func TestReplanRebuildsUntracedHit(t *testing.T) {
+	r := stats.NewRand(29)
+	for _, g := range []*gridbcast.Grid{gridbcast.Grid5000(), topology.RandomGrid(r, 12)} {
+		for _, d := range cacheDriftSet(g.N() - 1) {
+			sess := cacheSession(t, g, 8)
+			opts := []gridbcast.Option{gridbcast.WithHeuristic(gridbcast.ECEFLA), gridbcast.WithSize(1 << 20)}
+			if _, err := sess.Plan(gridbcast.NewRequest(opts...)); err != nil {
+				t.Fatal(err)
+			}
+			traced := gridbcast.NewRequest(append(opts, gridbcast.WithReplan())...)
+			hit, outcome, err := sess.PlanInfo(traced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if outcome != gridbcast.PlanHit {
+				t.Fatalf("delta %+v: WithReplan request %s, want a hit on the untraced entry", d, outcome)
+			}
+			ns, got, err := sess.Replan(hit, d)
+			if err != nil {
+				t.Fatalf("delta %+v: %v", d, err)
+			}
+			if st := ns.CacheStats(); st.Migrated != 1 {
+				t.Fatalf("delta %+v: stats %+v, want the untraced entry migrated", d, st)
+			}
+			scratch, err := gridbcast.NewSession(ns.Grid())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := scratch.Plan(traced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			planContent(t, "rebuilt", got, want)
+			again, err := ns.Plan(traced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again != got {
+				t.Fatalf("delta %+v: the migrated entry is not the plan Replan returned", d)
+			}
+		}
+	}
+}
+
+// TestReplanMigratesTwice: a replayed plan carries no trace, yet a second
+// drift migrates every replayable entry again — traced or not at the first
+// build — and each time the entries match a scratch build on the drifted
+// platform; the best-of entry is dropped at the first drift.
+func TestReplanMigratesTwice(t *testing.T) {
+	g := topology.RandomClusteredGrid(stats.NewRand(31), 5)
+	reqs := []gridbcast.Request{
+		gridbcast.NewRequest(gridbcast.WithHeuristic(gridbcast.ECEFLAT), gridbcast.WithSize(1<<20),
+			gridbcast.WithReplan()),
+		gridbcast.NewRequest(gridbcast.WithHeuristic(gridbcast.ECEFLAt), gridbcast.WithSize(1<<20),
+			gridbcast.WithRoot(1)),
+		gridbcast.NewRequest(gridbcast.WithHeuristic(gridbcast.ECEF), gridbcast.WithSize(1<<18),
+			gridbcast.WithOverlap(true), gridbcast.WithReplan()),
+	}
+	sess := cacheSession(t, g, 16)
+	var anchor *gridbcast.Plan
+	for _, req := range reqs {
+		pl, err := sess.Plan(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if anchor == nil {
+			anchor = pl
+		}
+	}
+	if _, err := sess.Plan(gridbcast.NewRequest(gridbcast.WithSize(1 << 20))); err != nil {
+		t.Fatal(err)
+	}
+	drifts := []gridbcast.PlatformDelta{
+		{Cluster: g.N() - 1, OutGapScale: 4},
+		{Cluster: 2, InGapScale: 0.3, BcastTime: 1.2},
+	}
+	for k, d := range drifts {
+		ns, migrated, err := sess.Replan(anchor, d)
+		if err != nil {
+			t.Fatalf("drift %d: %v", k, err)
+		}
+		st := ns.CacheStats()
+		if st.Migrated != uint64(len(reqs)) || st.Misses != 0 {
+			t.Fatalf("drift %d: stats %+v, want %d migrated and no misses", k, st, len(reqs))
+		}
+		scratch, err := gridbcast.NewSession(ns.Grid())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, req := range reqs {
+			want, err := scratch.Plan(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, outcome, err := ns.PlanInfo(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if outcome != gridbcast.PlanHit {
+				t.Fatalf("drift %d req %d: %s, want a hit on the migrated entry", k, i, outcome)
+			}
+			planContent(t, "migrated", got, want)
+		}
+		planContent(t, "replan-return", migrated, mustPlan(t, scratch, gridbcast.WithHeuristic(gridbcast.ECEFLAT),
+			gridbcast.WithSize(1<<20)))
+		sess, anchor = ns, migrated
 	}
 }
 
