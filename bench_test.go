@@ -220,7 +220,7 @@ func BenchmarkLargeGrid(b *testing.B) {
 }
 
 // BenchmarkEdgeCosts measures costing a message size the platform has not
-// seen, on the daemon's random:7:128 platform: "full" derives G, W and WT
+// seen, on the daemon's random:7:128 platform: "full" derives G and WT
 // (what an unsegmented ECEF-family build reads), "g-only" G alone (what a
 // ladder rung reads at its segment size). Every op costs a new size, so the
 // store's byte budget evicts as the run goes on, as a stream of distinct

@@ -135,7 +135,7 @@ func (mc MonteCarlo) FigSegmentsRandom(n int, sizes []int64, counts []int) *Figu
 			defer wg.Done()
 			// One Session per drawn platform: the facade's pooled segmented
 			// engine produces identical schedules and recycles the candidate
-			// caches (and Gs/Wl transposes) across the (size, count) grid.
+			// caches (and Gs transposes) across the (size, count) grid.
 			segPlan := func(sess *gridbcast.Session, root int, m, segSize int64) float64 {
 				plan, err := sess.Plan(gridbcast.NewRequest(
 					gridbcast.WithHeuristic(gridbcast.Mixed),

@@ -21,8 +21,8 @@ func lowerBound(p *Problem) float64 {
 		}
 		minIn := math.Inf(1)
 		for k := 0; k < p.N; k++ {
-			if k != j && p.W[k][j] < minIn {
-				minIn = p.W[k][j]
+			if k != j && p.w(k, j) < minIn {
+				minIn = p.w(k, j)
 			}
 		}
 		if b := minIn + p.T[j]; b > lb {

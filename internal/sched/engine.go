@@ -20,13 +20,14 @@ import (
 //
 // The candidate cost is the estimated arrival of the last segment,
 //
-//	cost(i, j) = max(busy_i + (K-1)·Gs[i][j], last_i) + Wl[i][j],
+//	cost(i, j) = max(busy_i + (K-1)·Gs[i][j], last_i) + (Gl[i][j] + L[i][j]),
 //
-// where last_i is when sender i holds its last segment. Its dynamic inputs
-// move the way an unsegmented sender's availability does: last_i is fixed
-// from the moment i joins A (transmit only writes the receiver's segment
-// times), and busy_i only grows, only when i transmits — one sender per
-// round. At K = 1 the Gs term vanishes and the cost splits into a sender
+// where last_i is when sender i holds its last segment and the bracket is
+// W_last[i][j] (the cost store's WT at the last segment's size, read
+// transposed). Its dynamic inputs move the way an unsegmented sender's
+// availability does: last_i is fixed from the moment i joins A (transmit
+// only writes the receiver's segment times), and busy_i only grows, only
+// when i transmits — one sender per round. At K = 1 the Gs term vanishes and the cost splits into a sender
 // scalar av_i = max(busy_i, last_i) — the unsegmented avail — plus the
 // static edge weight W[i][j], so the receiver cache keeps one av lane and
 // skips the Gs lane altogether (a selection made from the input's K).
@@ -140,14 +141,15 @@ type fefEngine struct {
 func (e *fefEngine) segName() string { return e.h.Name() }
 
 func (e *fefEngine) pickSeg(sp *SegmentedProblem, _ *segState) (int, int) {
-	wm := sp.L
-	if e.h.Weight == WeightFull {
-		wm = sp.W
-	}
+	full := e.h.Weight == WeightFull
 	for _, i := range e.fresh {
-		row := wm[i]
+		gRow, lRow := sp.G[i], sp.L[i]
 		for _, j := range e.rem {
-			if w := row[j]; w < e.cW[j] || (w == e.cW[j] && i < e.cSnd[j]) {
+			w := lRow[j]
+			if full {
+				w = gRow[j] + lRow[j]
+			}
+			if w < e.cW[j] || (w == e.cW[j] && i < e.cSnd[j]) {
 				e.cW[j], e.cSnd[j] = w, i
 			}
 		}
@@ -259,8 +261,9 @@ const flatRequeryLimit = 16
 type recvCache struct {
 	sp  *SegmentedProblem
 	kg1 float64 // float64(K-1), the per-segment gap multiplier; 0 selects the K = 1 lanes
-	// gsT and wlT are Gs and Wl transposed (gsT is nil at K = 1, where the
-	// Gs term vanishes). Both are shared and read-only.
+	// gsT is Gs transposed (nil at K = 1, where the Gs term vanishes) and
+	// wlT is W_last transposed (SegmentedProblem.lastWT). Both are shared
+	// and read-only.
 	gsT, wlT   [][]float64
 	heaps      []senderHeap
 	integrated []int32   // per receiver: prefix of joined already in its heap
@@ -308,21 +311,6 @@ func remDrop(rem []int32, j int32) []int32 {
 	return append(rem[:lo], rem[lo+1:]...)
 }
 
-// transpose returns src^T for an n×n matrix, in one backing array.
-func transpose(src [][]float64, n int) [][]float64 {
-	dst := make([][]float64, n)
-	backing := make([]float64, n*n)
-	for j := 0; j < n; j++ {
-		dst[j] = backing[j*n : (j+1)*n : (j+1)*n]
-	}
-	for i := 0; i < n; i++ {
-		for j, w := range src[i][:n] {
-			dst[j][i] = w
-		}
-	}
-	return dst
-}
-
 // oneSegReady is sender i's K = 1 term av_i = max(busy_i, last_i): the
 // moment its next transmission starts (transmit's b), which equals the
 // unsegmented avail[i] bit for bit.
@@ -335,7 +323,7 @@ func oneSegReady(st *segState, i int32) float64 {
 }
 
 // keyOf computes the current cost of sender i for receiver j with the
-// exact expression order of the naive lastSegEstimate + Wl scan.
+// exact expression order of the naive lastSegEstimate + W_last scan.
 func (rc *recvCache) keyOf(st *segState, j int, i int32) float64 {
 	if rc.kg1 == 0 {
 		return rc.ready[i] + rc.wlT[j][i]
@@ -360,10 +348,10 @@ func (rc *recvCache) sync(st *segState) {
 			rc.ready[rc.lastI] = oneSegReady(st, rc.lastI)
 		}
 		for _, i := range rc.joined[rc.csync:] {
-			av, row := oneSegReady(st, i), sp.Wl[i]
+			av, gRow, lRow := oneSegReady(st, i), sp.Gl[i], sp.L[i]
 			rc.ready[i] = av
 			for _, j := range rc.rem {
-				key := av + row[j]
+				key := av + (gRow[j] + lRow[j])
 				if key < rc.cKey[j] || (key == rc.cKey[j] && i < rc.cSnd[j]) {
 					rc.cKey[j], rc.cSnd[j] = key, i
 				}
@@ -372,7 +360,7 @@ func (rc *recvCache) sync(st *segState) {
 	} else {
 		k1 := sp.K - 1
 		for _, i := range rc.joined[rc.csync:] {
-			busy, gsRow, wlRow := st.busy[i], sp.Gs[i], sp.Wl[i]
+			busy, gsRow, glRow, lRow := st.busy[i], sp.Gs[i], sp.Gl[i], sp.L[i]
 			last := st.segAt[i][k1]
 			rc.ready[i] = last
 			for _, j := range rc.rem {
@@ -380,7 +368,7 @@ func (rc *recvCache) sync(st *segState) {
 				if last > key {
 					key = last
 				}
-				key += wlRow[j]
+				key += glRow[j] + lRow[j]
 				if key < rc.cKey[j] || (key == rc.cKey[j] && i < rc.cSnd[j]) {
 					rc.cKey[j], rc.cSnd[j] = key, i
 				}
@@ -526,7 +514,7 @@ func (h *laHeap) top(c *int32, inA []bool) laEntry {
 
 // ---------------------------------------------------------------------------
 // Lookahead set: the cached F(j) extrema of the ECEF-family engine. The
-// lookahead ranks whole-future utility off the full-message W and a T
+// lookahead ranks whole-future utility off the full-message W = G + L and a T
 // vector: the Problem's own, or under the end-to-end pipeline the
 // laProblem view whose T is the effective local-phase duration vector.
 
@@ -552,7 +540,7 @@ func laEntriesFor(backing []laEntry, h ecef, p *Problem, j int) []laEntry {
 		if k == j {
 			continue
 		}
-		w := p.W[j][k]
+		w := p.w(j, k)
 		if h.kind != laMinW {
 			w += p.T[k]
 		}

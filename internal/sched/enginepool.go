@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"unsafe"
+
+	"gridbcast/internal/topology"
 )
 
 // EnginePool is the one place that readies the incremental engines: every
@@ -18,16 +20,17 @@ import (
 //   - Buffer reuse: the candidate caches, sender heaps and lookahead
 //     cursors are allocated once per pool (per cluster count) and reset in
 //     O(N) per schedule, so steady-state scheduling stops allocating.
-//   - Transposes: the receiver cache scans cost columns. At K = 1 it reads
-//     W's transpose from the grid's cost store (Problem.transposedW) and
-//     needs no Gs at all; for K > 1 the pool caches the transposes of Gs
-//     and Wl per matrix identity (transposeOf), so ladder rungs and
-//     repeated schedules at one segment size skip the O(N²) rebuild.
+//   - Transposes: the receiver cache scans cost columns. W at the last
+//     segment's size it reads transposed from the grid's cost store
+//     (SegmentedProblem.lastWT), at every K; for K > 1 the pool also caches
+//     the transposes of Gs per matrix identity (transposeOf), so ladder
+//     rungs and repeated schedules at one segment size skip the O(N²)
+//     rebuild. At K = 1 no Gs is read at all.
 //   - Lookahead templates: the per-receiver lookahead heaps depend only on
-//     W (and T for the -LAt/-LAT variants) — not on the root, because the
-//     engine already discards members lazily once they join A. The pool
-//     therefore builds each heap over *all* other clusters and caches it
-//     heapified per (W identity, lookahead kind). Builds never copy it:
+//     W = G + L (and T for the -LAt/-LAT variants) — not on the root,
+//     because the engine already discards members lazily once they join
+//     A. The pool therefore builds each heap over *all* other clusters and
+//     caches it heapified per (G identity, lookahead kind). Builds never copy it:
 //     each keeps one cursor per receiver into the heap's pop order, and
 //     the heap extracts its minima in place, once per template, the first
 //     time any build's cursor reaches them (laHeap.top). Later schedules —
@@ -77,9 +80,9 @@ type EnginePool struct {
 }
 
 // poolBudget bounds the bytes an EnginePool's caches hold: lookahead
-// templates (N·(N−1)·16 B each) and segmented transposes (N²·8 B each).
-// It holds the full default ladder at N = 512 (22 transposes and 3
-// templates, about 59 MB) and about 500 templates at N = 128. Each entry pins
+// templates (N·(N−1)·16 B each) and Gs transposes (N²·8 B each). It holds
+// the full default ladder at N = 512 (11 transposes and 3 templates, about
+// 36 MB) and about 500 templates at N = 128. Each entry pins
 // at most one cost matrix of its own size, so what the caches keep alive
 // of evicted cost-store entries is bounded by the same figure. Eviction
 // only drops the cache's reference: an engine holding an evicted entry
@@ -87,8 +90,8 @@ type EnginePool struct {
 const poolBudget = 128 << 20
 
 // cached is one entry of the pool's caches: a lookahead template under
-// tkey, or the transpose tr of one segmented cost matrix (a Gs or a Wl)
-// under mkey, the matrix's identity. The matrices alias the grid's cost
+// tkey, or the transpose tr of one segment-size gap matrix Gs under mkey,
+// the matrix's identity. The matrices alias the grid's cost
 // store and are immutable, and holding the pointer pins them, so a key is
 // never recycled for different values (same argument as laTemplateKey).
 // Entries are shared read-only by every engine the pool readies.
@@ -101,15 +104,16 @@ type cached struct {
 	tr         [][]float64
 }
 
-// laTemplateKey identifies a cached lookahead template: the full-message W
+// laTemplateKey identifies a cached lookahead template: the full-message G
 // matrix (by identity — the matrix is immutable and shared via the grid's
-// cost store, and holding the pointer pins it, so the key cannot be
-// recycled for different values), the lookahead kind, and whether the T
+// cost store, one per grid and size, so it also fixes the grid's L; holding
+// the pointer pins it, so the key cannot be recycled for different
+// values), the lookahead kind, and whether the T
 // vector is the end-to-end pipeline's TL (whose values also depend on the
 // segmentation, so the exact T-vector guard still applies within a key —
 // the flag only keeps the two modes from evicting each other).
 type laTemplateKey struct {
-	w     *float64
+	g     *float64
 	kind  laKind
 	local bool
 }
@@ -162,11 +166,12 @@ func (ep *EnginePool) Schedule(h Heuristic, p *Problem) *Schedule {
 }
 
 // oneSegment returns p's one-segment view: the whole message is the only
-// (and so the last) segment, with the full-message matrices aliased as
-// NewSegmentedProblem does at K = 1. Building it looks up no costs.
+// (and so the last) segment, with the full-message matrices and cost entry
+// aliased as NewSegmentedProblem does at K = 1. Building it looks up no
+// costs.
 func oneSegment(p *Problem) *SegmentedProblem {
 	return &SegmentedProblem{Problem: p, SegSize: p.MsgSize, LastSize: p.MsgSize, K: 1,
-		Gs: p.G, Gl: p.G, Wl: p.W}
+		Gs: p.G, Gl: p.G, last: p.costs}
 }
 
 // whole reads the unsegmented Schedule off a one-segment build. At K = 1
@@ -222,8 +227,8 @@ func (ep *EnginePool) ensure(n int) {
 
 // resetRecvCache re-targets the shared receiver cache at sp in its initial
 // state, keeping every allocation (lazily grown sender heaps included). Its
-// shared, read-only transposes: the cost store's WT when Wl is W (K = 1),
-// the pool's cached ones otherwise, and Gs only for K > 1.
+// shared, read-only transposes: the cost store's WT at the last segment's
+// size, and the pool's cached Gs transpose for K > 1.
 func (ep *EnginePool) resetRecvCache(sp *SegmentedProblem) {
 	ep.ensure(sp.N)
 	rc := &ep.rc
@@ -233,11 +238,7 @@ func (ep *EnginePool) resetRecvCache(sp *SegmentedProblem) {
 	if sp.K > 1 {
 		rc.gsT = ep.transposeOf(sp.Gs, sp.N)
 	}
-	if &sp.Wl[0][0] == &sp.W[0][0] {
-		rc.wlT = sp.transposedW()
-	} else {
-		rc.wlT = ep.transposeOf(sp.Wl, sp.N)
-	}
+	rc.wlT = sp.lastWT()
 	for j := 0; j < sp.N; j++ {
 		rc.heaps[j].es = rc.heaps[j].es[:0]
 		rc.integrated[j] = 0
@@ -312,9 +313,9 @@ func (ep *EnginePool) loadLookahead(ls *lookaheadSet, h ecef, p *Problem, local 
 // Segmented scheduling through the pool
 
 // ScheduleSegmented builds sp's pipelined schedule with h through the
-// pool's recycled engines, reusing the candidate caches, the per-segment
-// transposes and the lookahead templates (the lookahead keys off the
-// full-message W and the effective T vector, so plain-T templates are
+// pool's recycled engines, reusing the candidate caches, the Gs transposes
+// and the lookahead templates (the lookahead keys off the full-message G
+// and the effective T vector, so plain-T templates are
 // shared with whole-message builds — any segment size, same platform —
 // while the end-to-end pipeline's TL views get their own key). Heuristics
 // without a native segmented picker re-time their unsegmented tree
@@ -336,10 +337,8 @@ func (ep *EnginePool) scheduleSegmented(h Heuristic, sp *SegmentedProblem, bound
 }
 
 // transposeOf returns (building and caching on demand) the transpose of
-// the n×n segmented cost matrix m. Keys are single matrices, not (Gs, Wl)
-// pairs: a ladder's power-of-two segment sizes share their Gs across
-// messages of every size, while each message size brings its own
-// remainder Wl.
+// the n×n segment-size gap matrix m. A ladder's power-of-two segment sizes
+// share their Gs across messages of every size.
 func (ep *EnginePool) transposeOf(m [][]float64, n int) [][]float64 {
 	key := &m[0][0]
 	if e := ep.segTrans[key]; e != nil && len(e.tr) == n {
@@ -350,7 +349,7 @@ func (ep *EnginePool) transposeOf(m [][]float64, n int) [][]float64 {
 	}
 	e := &cached{mkey: key, bytes: int64(n)*int64(n)*8 + int64(n)*24}
 	ep.evict(e.bytes)
-	e.tr = transpose(m, n)
+	e.tr = topology.TransposeSum(m, nil)
 	ep.segTrans[key] = e
 	ep.admit(e)
 	return e.tr
@@ -359,7 +358,7 @@ func (ep *EnginePool) transposeOf(m [][]float64, n int) [][]float64 {
 // template returns (building and caching on demand) the root-independent
 // lookahead template for h's kind on p's platform.
 func (ep *EnginePool) template(h ecef, p *Problem, local bool) *laTemplate {
-	key := laTemplateKey{w: &p.W[0][0], kind: h.kind, local: local}
+	key := laTemplateKey{g: &p.G[0][0], kind: h.kind, local: local}
 	if e := ep.templates[key]; e != nil {
 		if tpl := e.tpl; tpl.n == p.N && (h.kind == laMinW || floatsEqual(tpl.t, p.T)) {
 			ep.use(e)

@@ -36,20 +36,17 @@ func fuzzProblem(seed int64, n8, root8, quant uint8, overlap bool) *Problem {
 		MsgSize: 1 << 20,
 		G:       make([][]float64, n),
 		L:       make([][]float64, n),
-		W:       make([][]float64, n),
 		T:       make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
 		p.G[i] = make([]float64, n)
 		p.L[i] = make([]float64, n)
-		p.W[i] = make([]float64, n)
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue
 			}
 			p.G[i][j] = draw(1.0)
 			p.L[i][j] = draw(0.015625)
-			p.W[i][j] = p.G[i][j] + p.L[i][j]
 		}
 		p.T[i] = draw(0.5)
 	}
@@ -83,7 +80,7 @@ func fuzzSegmentedProblem(p *Problem, k int, dyadic bool) *SegmentedProblem {
 		K:        k,
 	}
 	if k == 1 {
-		sp.Gs, sp.Gl, sp.Wl = p.G, p.G, p.W
+		sp.Gs, sp.Gl = p.G, p.G
 		return sp
 	}
 	frac := float64(segSize) / float64(m)
@@ -91,15 +88,12 @@ func fuzzSegmentedProblem(p *Problem, k int, dyadic bool) *SegmentedProblem {
 	n := p.N
 	sp.Gs = make([][]float64, n)
 	sp.Gl = make([][]float64, n)
-	sp.Wl = make([][]float64, n)
 	for i := 0; i < n; i++ {
 		sp.Gs[i] = make([]float64, n)
 		sp.Gl[i] = make([]float64, n)
-		sp.Wl[i] = make([]float64, n)
 		for j := 0; j < n; j++ {
 			sp.Gs[i][j] = p.G[i][j] * frac
 			sp.Gl[i][j] = p.G[i][j] * lfrac
-			sp.Wl[i][j] = sp.Gl[i][j] + p.L[i][j]
 		}
 	}
 	return sp

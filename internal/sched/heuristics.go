@@ -72,7 +72,7 @@ func (h FEF) pick(p *Problem, s *state) (int, int) {
 			}
 			w := p.L[i][j]
 			if h.Weight == WeightFull {
-				w = p.W[i][j]
+				w = p.w(i, j)
 			}
 			if w < best {
 				best, bi, bj = w, i, j
@@ -123,7 +123,7 @@ func (h ecef) lookahead(p *Problem, s *state, j int) float64 {
 			if s.inA[k] || k == j {
 				continue
 			}
-			if w := p.W[j][k]; !found || w < best {
+			if w := p.w(j, k); !found || w < best {
 				best, found = w, true
 			}
 		}
@@ -134,7 +134,7 @@ func (h ecef) lookahead(p *Problem, s *state, j int) float64 {
 			if s.inA[k] || k == j {
 				continue
 			}
-			if w := p.W[j][k] + p.T[k]; !found || w < best {
+			if w := p.w(j, k) + p.T[k]; !found || w < best {
 				best, found = w, true
 			}
 		}
@@ -145,7 +145,7 @@ func (h ecef) lookahead(p *Problem, s *state, j int) float64 {
 			if s.inA[k] || k == j {
 				continue
 			}
-			if w := p.W[j][k] + p.T[k]; w > best {
+			if w := p.w(j, k) + p.T[k]; w > best {
 				best = w
 			}
 		}
@@ -166,7 +166,7 @@ func (h ecef) pick(p *Problem, s *state) (int, int) {
 			if !s.inA[i] {
 				continue
 			}
-			c := s.avail[i] + p.W[i][j] + fj
+			c := s.avail[i] + p.w(i, j) + fj
 			if c < best {
 				best, bi, bj = c, i, j
 			}
@@ -227,7 +227,7 @@ func (BottomUp) pick(p *Problem, s *state) (int, int) {
 			if !s.inA[i] {
 				continue
 			}
-			if c := s.avail[i] + p.W[i][j] + tj; c < best {
+			if c := s.avail[i] + p.w(i, j) + tj; c < best {
 				best, argi = c, i
 			}
 		}

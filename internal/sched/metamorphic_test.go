@@ -19,16 +19,14 @@ import (
 func scaledProblem(p *Problem, c float64) *Problem {
 	n := p.N
 	q := &Problem{N: n, Root: p.Root, Overlap: p.Overlap, MsgSize: p.MsgSize,
-		G: make([][]float64, n), L: make([][]float64, n), W: make([][]float64, n),
+		G: make([][]float64, n), L: make([][]float64, n),
 		T: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		q.G[i] = make([]float64, n)
 		q.L[i] = make([]float64, n)
-		q.W[i] = make([]float64, n)
 		for j := 0; j < n; j++ {
 			q.G[i][j] = c * p.G[i][j]
 			q.L[i][j] = c * p.L[i][j]
-			q.W[i][j] = c * p.W[i][j]
 		}
 		q.T[i] = c * p.T[i]
 	}
@@ -89,7 +87,7 @@ func TestMetamorphicGapScalingSegmented(t *testing.T) {
 			}
 			return out
 		}
-		sq.Gs, sq.Gl, sq.Wl = scale2(sp.Gs), scale2(sp.Gl), scale2(sp.Wl)
+		sq.Gs, sq.Gl = scale2(sp.Gs), scale2(sp.Gl)
 		for _, h := range segmentedHeuristics() {
 			orig := ScheduleSegmented(h, sp)
 			scaled := ScheduleSegmented(h, sq)
@@ -106,18 +104,16 @@ func TestMetamorphicGapScalingSegmented(t *testing.T) {
 func permutedProblem(p *Problem, perm []int) *Problem {
 	n := p.N
 	q := &Problem{N: n, Root: perm[p.Root], Overlap: p.Overlap, MsgSize: p.MsgSize,
-		G: make([][]float64, n), L: make([][]float64, n), W: make([][]float64, n),
+		G: make([][]float64, n), L: make([][]float64, n),
 		T: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		q.G[i] = make([]float64, n)
 		q.L[i] = make([]float64, n)
-		q.W[i] = make([]float64, n)
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			q.G[perm[i]][perm[j]] = p.G[i][j]
 			q.L[perm[i]][perm[j]] = p.L[i][j]
-			q.W[perm[i]][perm[j]] = p.W[i][j]
 		}
 		q.T[perm[i]] = p.T[i]
 	}

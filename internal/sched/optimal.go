@@ -71,7 +71,7 @@ func (Optimal) Schedule(p *Problem) *Schedule {
 		dist[i] = make([]float64, n)
 		for j := 0; j < n; j++ {
 			if i != j {
-				dist[i][j] = p.W[i][j]
+				dist[i][j] = p.w(i, j)
 			}
 		}
 	}
@@ -217,7 +217,7 @@ func (Optimal) Schedule(p *Problem) *Schedule {
 				if j < prevJ && i != prevJ && i != prevI {
 					continue
 				}
-				arrive := avail[i] + p.W[i][j]
+				arrive := avail[i] + p.w(i, j)
 				if arrive+p.T[j] >= bound {
 					// The receiver alone would already finish too late.
 					continue

@@ -34,33 +34,29 @@ type Problem struct {
 	Overlap bool
 	// MsgSize is the broadcast payload in bytes.
 	MsgSize int64
-	// G[i][j] = g_{i,j}(m), L[i][j] = latency, W[i][j] = G + L.
+	// G[i][j] = g_{i,j}(m), L[i][j] = latency. The paper's
+	// W_{i,j}(m) = g_{i,j}(m) + L_{i,j} is not stored: every reader forms
+	// G[i][j] + L[i][j] (w), the sum the cost store's WT holds.
 	//
 	// The matrices are READ-ONLY: they alias the grid's per-message-size
 	// cost store (topology.EdgeCosts) and are shared by every Problem built
 	// from the same grid at the same size. Perturbation studies must
 	// perturb the grid (before its first costing) and build a fresh
 	// Problem, not write to these slices.
-	G, L, W [][]float64
+	G, L [][]float64
 	// T[i] is the intra-cluster broadcast time of cluster i.
 	T []float64
 
-	// costs is the cost-store entry G, L and W came from (nil for Problems
-	// built outside NewProblem). It serves W transposed, derived the first
-	// time an engine asks for it, so FlatTree and FEF builds never pay for
-	// it.
+	// costs is the cost-store entry G and L came from (nil for Problems
+	// built outside NewProblem). It serves W transposed to one-segment
+	// builds (SegmentedProblem.lastWT), derived the first time an engine
+	// asks for it, so FlatTree and FEF builds never pay for it.
 	costs *topology.EdgeCosts
 }
 
-// transposedW returns W column-major (wt[j][i] = W[i][j]), so the
-// incremental engine's per-receiver scans run over contiguous rows;
-// Problems built outside NewProblem (tests) get a fresh transpose.
-func (p *Problem) transposedW() [][]float64 {
-	if p.costs != nil {
-		return p.costs.WT()
-	}
-	return transpose(p.W, p.N)
-}
+// w returns W[i][j] = G[i][j] + L[i][j], formed as one rounded sum before
+// any other term is added, so every reader sees the float WT holds.
+func (p *Problem) w(i, j int) float64 { return p.G[i][j] + p.L[i][j] }
 
 // Options tune problem construction.
 type Options struct {
@@ -117,7 +113,6 @@ func NewProblem(g *topology.Grid, root int, m int64, opt Options) (*Problem, err
 		MsgSize: m,
 		G:       ec.G,
 		L:       ec.L,
-		W:       ec.W(),
 		T:       make([]float64, n),
 		costs:   ec,
 	}

@@ -373,7 +373,7 @@ func (r *Replanner) resetReplayer(p *Problem, tr *BuildTrace, changed int, s *st
 			if j == changed {
 				continue
 			}
-			w := p.W[j][changed]
+			w := p.w(j, changed)
 			if tr.h.kind != laMinW {
 				w += p.T[changed]
 			}
@@ -597,7 +597,7 @@ func (rp *replayer) foldChangedKey(p *Problem, s *state, bi, bj int) {
 		rp.chK, rp.chS = rp.scanKey(p, s.avail, rp.changed)
 		return
 	}
-	if key := s.avail[bj] + p.W[bj][rp.changed]; key < rp.chK || (key == rp.chK && bj < rp.chS) {
+	if key := s.avail[bj] + p.w(bj, rp.changed); key < rp.chK || (key == rp.chK && bj < rp.chS) {
 		rp.chK, rp.chS = key, bj
 	}
 }
@@ -625,12 +625,12 @@ func (rp *replayer) densePick(p *Problem, s *state) (int, int) {
 			key, snd = rp.scanKey(p, avail, j)
 		} else {
 			for _, t := range tl {
-				if k2 := avail[t] + p.W[t][j]; k2 < key || (k2 == key && t < snd) {
+				if k2 := avail[t] + p.w(t, j); k2 < key || (k2 == key && t < snd) {
 					key, snd = k2, t
 				}
 			}
 			if chLive && ch != j {
-				if k2 := avail[ch] + p.W[ch][j]; k2 < key || (k2 == key && ch < snd) {
+				if k2 := avail[ch] + p.w(ch, j); k2 < key || (k2 == key && ch < snd) {
 					key, snd = k2, ch
 				}
 			}
@@ -657,7 +657,7 @@ func (rp *replayer) scanKey(p *Problem, avail []float64, j int) (float64, int) {
 	bk, bi := math.Inf(1), -1
 	for _, i32 := range rp.joinOrder {
 		i := int(i32)
-		if key := avail[i] + p.W[i][j]; key < bk || (key == bk && i < bi) {
+		if key := avail[i] + p.w(i, j); key < bk || (key == bk && i < bi) {
 			bk, bi = key, i
 		}
 	}
@@ -674,7 +674,7 @@ func (rp *replayer) recomputeF(p *Problem, s *state, j int) float64 {
 		if s.inA[k] || k == j {
 			continue
 		}
-		w := p.W[j][k]
+		w := p.w(j, k)
 		if rp.h.kind != laMinW {
 			w += p.T[k]
 		}

@@ -167,13 +167,11 @@ func driftProblem(p *Problem, changed int, factor float64) *Problem {
 		N: n, Root: p.Root, Overlap: p.Overlap, MsgSize: p.MsgSize,
 		G: make([][]float64, n),
 		L: make([][]float64, n),
-		W: make([][]float64, n),
 		T: append([]float64(nil), p.T...),
 	}
 	for i := 0; i < n; i++ {
 		np.G[i] = append([]float64(nil), p.G[i]...)
 		np.L[i] = append([]float64(nil), p.L[i]...)
-		np.W[i] = append([]float64(nil), p.W[i]...)
 	}
 	for j := 0; j < n; j++ {
 		if j == changed {
@@ -181,10 +179,8 @@ func driftProblem(p *Problem, changed int, factor float64) *Problem {
 		}
 		np.G[changed][j] *= factor
 		np.L[changed][j] *= factor
-		np.W[changed][j] = np.G[changed][j] + np.L[changed][j]
 		np.G[j][changed] *= factor
 		np.L[j][changed] *= factor
-		np.W[j][changed] = np.G[j][changed] + np.L[j][changed]
 	}
 	np.T[changed] *= factor
 	return np

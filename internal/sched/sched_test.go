@@ -62,8 +62,8 @@ func TestNewProblemValidation(t *testing.T) {
 
 func TestProblemCostMatrices(t *testing.T) {
 	p := tinyProblem(t)
-	if math.Abs(p.W[0][1]-0.11) > 1e-12 || math.Abs(p.W[0][2]-0.32) > 1e-12 {
-		t.Errorf("W = %v", p.W)
+	if math.Abs(p.w(0, 1)-0.11) > 1e-12 || math.Abs(p.w(0, 2)-0.32) > 1e-12 {
+		t.Errorf("W = G + L: %v + %v", p.G, p.L)
 	}
 	if p.T[2] != 1.0 {
 		t.Errorf("T = %v", p.T)

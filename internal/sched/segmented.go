@@ -28,7 +28,7 @@ package sched
 //     max(busy_i + (K-1)·g_s, lastseg_i) + W_last[i][j] — the estimated
 //     arrival of the *last* segment at j — and the chosen pair is then timed
 //     exactly. At K = 1 the cost expression degenerates to the unsegmented
-//     one (0·g_s vanishes, W_last aliases W), so every greedy matches its
+//     one (0·g_s vanishes, W_last is W), so every greedy matches its
 //     unsegmented self exactly, and a whole-message build is the one-segment
 //     build (EnginePool.Schedule). The naive pickers below are the oracle.
 //
@@ -57,17 +57,23 @@ type SegmentedProblem struct {
 	SegSize, LastSize int64
 	// K is the number of segments (>= 1).
 	K int
-	// Gs[i][j] = g_{i,j}(SegSize); Gl and Wl are the gap and gap+latency at
-	// LastSize. With K == 1, Gl and Wl alias the Problem's full-message G
-	// and W, so costs are bit-identical to the unsegmented model. Like the
-	// Problem matrices they alias the grid's cache and are read-only.
-	Gs, Gl, Wl [][]float64
+	// Gs[i][j] = g_{i,j}(SegSize); Gl is the gap at LastSize, and
+	// W_last[i][j] = Gl[i][j] + L[i][j]. With K == 1, Gl aliases the
+	// Problem's full-message G, so costs are bit-identical to the
+	// unsegmented model. Like the Problem matrices they alias the grid's
+	// cache and are read-only.
+	Gs, Gl [][]float64
 	// LocalSeg marks the end-to-end pipeline (Options.SegmentedLocal with
 	// K > 1 on a platform with at least one tree-based local phase): the
 	// per-cluster fields below drive the per-segment completion model and
 	// the TL-based cost estimates. When false they are all nil and every
 	// code path is byte-identical to the coordinator-only pipeline.
 	LocalSeg bool
+
+	// last is the cost-store entry at LastSize (the Problem's own at
+	// K == 1; nil for problems built outside NewSegmentedProblem): its WT
+	// is W_last transposed, which the engine scans (lastWT).
+	last *topology.EdgeCosts
 
 	// segSizes is the per-segment payload vector (K-1 SegSize entries plus
 	// LastSize); local holds each tree-based cluster's local broadcast tree
@@ -97,6 +103,16 @@ func (sp *SegmentedProblem) estT() []float64 {
 		return sp.TL
 	}
 	return sp.T
+}
+
+// lastWT returns W_last transposed, wt[j][i] = Gl[i][j] + L[i][j]: the
+// cost store's WT at LastSize, or a fresh one for problems built outside
+// NewSegmentedProblem (tests).
+func (sp *SegmentedProblem) lastWT() [][]float64 {
+	if sp.last != nil {
+		return sp.last.WT()
+	}
+	return topology.TransposeSum(sp.Gl, sp.L)
 }
 
 // laProblem returns the Problem whose T feeds the ECEF-family lookahead
@@ -148,20 +164,18 @@ func NewSegmentedProblem(g *topology.Grid, root int, m, segSize int64, opt Optio
 		// Single segment: the "last" (only) segment is the whole message.
 		// SegmentedLocal is inert here by design — the K = 1 degeneracy
 		// keeps one-segment schedules byte-identical either way.
-		sp.Gs, sp.Gl, sp.Wl = p.G, p.G, p.W
+		sp.Gs, sp.Gl, sp.last = p.G, p.G, p.costs
 		return sp, nil
 	}
-	// The rungs read only g at the segment size and g and W at the last
-	// segment's size. The engine scans Gs and Wl through the pool's cached
-	// transposes (EnginePool.transposeOf), so no WT is derived here; at
-	// K = 1 above it reads the store's W transpose instead.
+	// The rungs read only g at the segment size and g and W's transpose at
+	// the last segment's size. The engine scans Gs through the pool's
+	// cached transposes (EnginePool.transposeOf) and W_last through the
+	// store's WT, derived on the first build that reads it.
 	ecs := g.EdgeCosts(segSize)
-	sp.Gs = ecs.G
-	if last == segSize {
-		sp.Gl, sp.Wl = ecs.G, ecs.W()
-	} else {
-		ecl := g.EdgeCosts(last)
-		sp.Gl, sp.Wl = ecl.G, ecl.W()
+	sp.Gs, sp.Gl, sp.last = ecs.G, ecs.G, ecs
+	if last != segSize {
+		sp.last = g.EdgeCosts(last)
+		sp.Gl = sp.last.G
 	}
 	if opt.SegmentedLocal {
 		sp.segmentLocal(g, opt)
@@ -603,7 +617,7 @@ func (e ecefSeg) pickSeg(sp *SegmentedProblem, st *segState) (int, int) {
 			if !st.inA[i] {
 				continue
 			}
-			c := lastSegEstimate(sp, st, i, j) + sp.Wl[i][j] + fj
+			c := lastSegEstimate(sp, st, i, j) + (sp.Gl[i][j] + sp.L[i][j]) + fj
 			if c < best {
 				best, bi, bj = c, i, j
 			}
@@ -635,7 +649,7 @@ func (buSeg) pickSeg(sp *SegmentedProblem, st *segState) (int, int) {
 			if !st.inA[i] {
 				continue
 			}
-			if c := lastSegEstimate(sp, st, i, j) + sp.Wl[i][j] + tj; c < best {
+			if c := lastSegEstimate(sp, st, i, j) + (sp.Gl[i][j] + sp.L[i][j]) + tj; c < best {
 				best, argi = c, i
 			}
 		}
@@ -854,8 +868,8 @@ func (pl Pipelined) Name() string { return "Pipelined-" + pl.base().Name() }
 // the last, so a cancelled search returns ctx's error within one rung's
 // construction time and a search that overran ctx never returns a
 // schedule. The pool reuses the candidate caches, lookahead templates and the
-// per-matrix-identity Gs/Wl transposes across rungs and across repeated
-// searches on one platform.
+// per-matrix-identity Gs transposes across rungs and across repeated
+// searches on one platform; the W_last transposes are the cost store's.
 //
 // Each rung after the first is built against the incumbent's makespan as
 // an exact branch-and-bound cut (runSegmented): a rung whose partial

@@ -98,8 +98,8 @@ func TestSegmentedProblemShape(t *testing.T) {
 	if sp1.K != 1 || sp1.SegSize != 1<<20 || sp1.LastSize != 1<<20 {
 		t.Fatalf("oversized segment: K=%d seg=%d last=%d", sp1.K, sp1.SegSize, sp1.LastSize)
 	}
-	if &sp1.Gl[0][0] != &sp1.G[0][0] || &sp1.Wl[0][0] != &sp1.W[0][0] {
-		t.Fatal("K == 1 must alias the full-message matrices")
+	if &sp1.Gl[0][0] != &sp1.G[0][0] || sp1.last != sp1.costs {
+		t.Fatal("K == 1 must alias the full-message matrices and cost entry")
 	}
 	if _, err := NewSegmentedProblem(g, 0, 1<<20, 0, Options{}); err == nil {
 		t.Fatal("zero segment size accepted")

@@ -325,8 +325,8 @@ func TestServeIntrospection(t *testing.T) {
 	if g5k.Cache.Hits != 2 || g5k.Cache.Misses != 1 || g5k.Cache.HitRate < 0.6 {
 		t.Errorf("cache stats %+v, want 2 hits / 1 miss", g5k.Cache)
 	}
-	// The one ECEF-LAT build derived G, W and WT at 1 MiB on 6 clusters.
-	if want := (CostStatsJSON{Bytes: 3 * (6*6*8 + 6*24), Sizes: 1}); g5k.Costs != want {
+	// The one ECEF-LAT build derived G and WT at 1 MiB on 6 clusters.
+	if want := (CostStatsJSON{Bytes: 2 * (6*6*8 + 6*24), Sizes: 1}); g5k.Costs != want {
 		t.Errorf("cost stats %+v, want %+v", g5k.Costs, want)
 	}
 

@@ -4,25 +4,27 @@ import "sync"
 
 // CostBudget is the byte budget of one grid's cost store: the per-size
 // matrices it keeps resident (see costStore). At the 4,096-cluster cap one
-// fully derived size is about 402 MB, so the store then holds just the size
-// in use; a 128-cluster platform fits about 670 fully derived sizes.
+// fully derived size (G and WT) is about 268 MB, so the store then holds
+// just the size in use; a 128-cluster platform fits about 1,000 of them.
 const CostBudget = 256 << 20
 
 // EdgeCosts is one message size's entry in a grid's cost store: the
 // wide-area pLogP matrices evaluated at that size. G[i][j] = g_{i,j}(m) and
 // L[i][j] = latency are present from the start (L is the same matrix in
-// every entry of one grid); W = G + L and its transpose WT are derived on
-// first request. Every matrix is shared by all callers — treat them as
-// read-only — and lives on one flat backing array of stride n.
+// every entry of one grid); WT, the transpose of W = G + L, is derived on
+// first request. W itself is never stored: a reader of W[i][j] forms
+// G[i][j] + L[i][j], the sum WT[j][i] holds, bit for bit. Every matrix is
+// shared by all callers — treat them as read-only — and lives on one flat
+// backing array of stride n.
 type EdgeCosts struct {
 	G, L [][]float64
 
 	m     int64
 	store *costStore
-	// w and wt are derived under store.mu. bytes counts the entry's
-	// derived matrices; prev and next link it into the store's recency
-	// list while it is resident (both nil once evicted).
-	w, wt      [][]float64
+	// wt is derived under store.mu. bytes counts the entry's matrices;
+	// prev and next link it into the store's recency list while it is
+	// resident (both nil once evicted).
+	wt         [][]float64
 	bytes      int64
 	prev, next *EdgeCosts
 }
@@ -92,59 +94,68 @@ func (g *Grid) CostStats() CostStats {
 	return CostStats{Bytes: s.bytes, Sizes: len(s.entries), Evicted: s.evicted}
 }
 
-// W returns G + L, deriving it on the first call.
-func (ec *EdgeCosts) W() [][]float64 {
-	s := ec.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.touch(ec)
-	if ec.w == nil {
-		ec.buildW(nil, -1)
-		s.grow(ec)
-	}
-	return ec.w
-}
-
-// WT returns W transposed (WT[j][i] = W[i][j], for receiver-major scans),
-// deriving it (and W) on the first call.
+// WT returns W = G + L transposed (WT[j][i] = G[i][j] + L[i][j], for
+// receiver-major scans), deriving it from G and L on the first call.
 func (ec *EdgeCosts) WT() [][]float64 {
 	s := ec.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.touch(ec)
 	if ec.wt == nil {
-		if ec.w == nil {
-			ec.buildW(nil, -1)
-		}
-		ec.buildWT(nil, -1)
+		ec.wt = TransposeSum(ec.G, ec.L)
 		s.grow(ec)
 	}
 	return ec.wt
 }
 
-// buildW derives W from G and L; buildWT derives WT from W. With from
-// non-nil only row and column c are evaluated (see buildMatrix).
-func (ec *EdgeCosts) buildW(from [][]float64, c int) {
-	g, l := ec.G, ec.L
-	ec.w = buildMatrix(len(g), from, c, func(i, j int) float64 { return g[i][j] + l[i][j] })
+// TransposeSum returns the n×n matrix t[j][i] = a[i][j] + b[i][j] (a[i][j]
+// alone when b is nil) on one backing array of stride n, walking 32×32
+// tiles so that the rows it reads and the columns it writes both stay in
+// cache. Each cell is the one rounded sum a reader of a[i][j] + b[i][j]
+// forms. On cost matrices, whose diagonals are zero, so is t's.
+func TransposeSum(a, b [][]float64) [][]float64 {
+	const tile = 32
+	n := len(a)
+	t := newMatrix(n)
+	for i0 := 0; i0 < n; i0 += tile {
+		for j0 := 0; j0 < n; j0 += tile {
+			j1 := min(j0+tile, n)
+			for i := i0; i < min(i0+tile, n); i++ {
+				row := a[i][j0:j1]
+				if b == nil {
+					for k, v := range row {
+						t[j0+k][i] = v
+					}
+					continue
+				}
+				brow := b[i][j0:j1]
+				for k, v := range row {
+					t[j0+k][i] = v + brow[k]
+				}
+			}
+		}
+	}
+	return t
 }
 
-func (ec *EdgeCosts) buildWT(from [][]float64, c int) {
-	w := ec.w
-	ec.wt = buildMatrix(len(w), from, c, func(i, j int) float64 { return w[j][i] })
-}
-
-// buildMatrix is the one constructor of cost matrices: an n×n matrix on a
-// single backing array, exposed as row views, holding cell(i, j) off the
-// diagonal and 0 on it. With from non-nil only row and column c are
-// evaluated and every other cell is copied from from, which must already
-// hold what cell would return there (PatchCosts' contract).
-func buildMatrix(n int, from [][]float64, c int, cell func(i, j int) float64) [][]float64 {
+// newMatrix returns a zeroed n×n matrix on a single backing array, exposed
+// as row views.
+func newMatrix(n int) [][]float64 {
 	flat := make([]float64, n*n)
 	rows := make([][]float64, n)
 	for i := range rows {
 		rows[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
+	return rows
+}
+
+// buildMatrix is the cell-wise constructor of cost matrices: an n×n matrix
+// holding cell(i, j) off the diagonal and 0 on it. With from non-nil only
+// row and column c are evaluated and every other cell is copied from from,
+// which must already hold what cell would return there (PatchCosts'
+// contract).
+func buildMatrix(n int, from [][]float64, c int, cell func(i, j int) float64) [][]float64 {
+	rows := newMatrix(n)
 	if from == nil {
 		for i, row := range rows {
 			for j := range row {
@@ -171,16 +182,12 @@ func buildMatrix(n int, from [][]float64, c int, cell func(i, j int) float64) []
 // its row headers.
 func matrixBytes(n int) int64 { return int64(n)*int64(n)*8 + int64(n)*24 }
 
-// size returns the bytes of ec's derived matrices.
+// size returns the bytes of ec's own matrices (G, and WT once derived).
 func (ec *EdgeCosts) size() int64 {
-	k := int64(1)
-	if ec.w != nil {
-		k++
-	}
 	if ec.wt != nil {
-		k++
+		return 2 * matrixBytes(len(ec.G))
 	}
-	return k * matrixBytes(len(ec.G))
+	return matrixBytes(len(ec.G))
 }
 
 // insert makes ec resident as the most recently used entry and evicts what

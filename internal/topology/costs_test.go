@@ -36,28 +36,25 @@ func clone(m [][]float64) [][]float64 {
 	return out
 }
 
-// TestEdgeCostsDerivesOnRequest: an entry starts with G alone, W and WT are
-// derived on first request (and counted then), and every matrix lies on one
-// flat backing array of stride n.
+// TestEdgeCostsDerivesOnRequest: an entry starts with G alone, WT is
+// derived on first request (and counted then, so a fully derived entry is
+// exactly G plus WT), and every matrix lies on one flat backing array of
+// stride n.
 func TestEdgeCostsDerivesOnRequest(t *testing.T) {
 	g := RandomSizedGrid(stats.NewRand(2), 9)
 	n := g.N()
 	ec := g.EdgeCosts(1 << 20)
-	if ec.w != nil || ec.wt != nil {
-		t.Fatal("EdgeCosts derived W or WT before a caller asked")
+	if ec.wt != nil {
+		t.Fatal("EdgeCosts derived WT before a caller asked")
 	}
 	if st := g.CostStats(); st.Bytes != matrixBytes(n) || st.Sizes != 1 {
 		t.Errorf("G only: stats %+v, want %d bytes in 1 size", st, matrixBytes(n))
 	}
-	w := ec.W()
-	if ec.wt != nil {
-		t.Error("W derived WT as well")
-	}
 	wt := ec.WT()
-	if st := g.CostStats(); st.Bytes != 3*matrixBytes(n) {
-		t.Errorf("full entry: %d bytes, want %d", st.Bytes, 3*matrixBytes(n))
+	if st := g.CostStats(); st.Bytes != 2*matrixBytes(n) {
+		t.Errorf("full entry: %d bytes, want G + WT = %d", st.Bytes, 2*matrixBytes(n))
 	}
-	for _, m := range [][][]float64{ec.G, ec.L, w, wt} {
+	for _, m := range [][][]float64{ec.G, ec.L, wt} {
 		for i := 1; i < n; i++ {
 			step := uintptr(unsafe.Pointer(&m[i][0])) - uintptr(unsafe.Pointer(&m[i-1][0]))
 			if step != uintptr(n)*8 || cap(m[i]) != n {
@@ -65,15 +62,44 @@ func TestEdgeCostsDerivesOnRequest(t *testing.T) {
 			}
 		}
 	}
-	if &ec.W()[0][0] != &w[0][0] || &ec.WT()[0][0] != &wt[0][0] {
-		t.Error("a second request re-derived a matrix")
+	if &ec.WT()[0][0] != &wt[0][0] {
+		t.Error("a second request re-derived WT")
+	}
+}
+
+// TestWTIsTransposedSum: the tiled WT build holds WT[j][i] = G[i][j] +
+// L[i][j] bit for bit, with a zero diagonal, on the paper's platform, a
+// 128-cluster draw (four whole tiles) and a 37-cluster one (a partial
+// tile on each edge); TransposeSum without a second matrix is the plain
+// transpose.
+func TestWTIsTransposedSum(t *testing.T) {
+	for _, g := range []*Grid{Grid5000(), RandomGrid(stats.NewRand(7), 128), RandomSizedGrid(stats.NewRand(3), 37)} {
+		n := g.N()
+		for _, m := range []int64{1 << 10, 1 << 20, 16 << 20} {
+			ec := g.EdgeCosts(m)
+			wt, gt := ec.WT(), TransposeSum(ec.G, nil)
+			for i := 0; i < n; i++ {
+				if wt[i][i] != 0 || math.Signbit(wt[i][i]) {
+					t.Fatalf("n=%d m=%d: WT[%d][%d] = %g, want +0", n, m, i, i, wt[i][i])
+				}
+				for j := 0; j < n; j++ {
+					if math.Float64bits(wt[j][i]) != math.Float64bits(ec.G[i][j]+ec.L[i][j]) {
+						t.Fatalf("n=%d m=%d: WT[%d][%d] = %g, want G+L = %g", n, m, j, i, wt[j][i], ec.G[i][j]+ec.L[i][j])
+					}
+					if math.Float64bits(gt[j][i]) != math.Float64bits(ec.G[i][j]) {
+						t.Fatalf("n=%d m=%d: G transposed differs at (%d,%d)", n, m, j, i)
+					}
+				}
+			}
+		}
 	}
 }
 
 // TestCostStoreBounded costs 1,000 distinct sizes on a 256-cluster grid
-// under a 16 MiB budget, deriving W and WT for some: resident bytes never
-// exceed the budget plus one full entry, and the live heap stays under the
-// budget plus 64 MiB (an unbounded store would hold about 1.5 GB).
+// under a 16 MiB budget, deriving WT for some: a fully derived entry counts
+// exactly G plus WT, resident bytes never exceed the budget plus one full
+// entry, and the live heap stays under the budget plus 64 MiB (an
+// unbounded store would hold about 800 MB).
 func TestCostStoreBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1,000 sizes on 256 clusters")
@@ -81,15 +107,15 @@ func TestCostStoreBounded(t *testing.T) {
 	g := RandomSizedGrid(stats.NewRand(4), 256)
 	const budget = 16 << 20
 	g.costs.budget = budget
-	full := 3 * matrixBytes(g.N())
+	full := 2 * matrixBytes(g.N())
 	var older *EdgeCosts
 	for k := 0; k < 1000; k++ {
 		ec := g.EdgeCosts(int64(1<<20 + 512*k))
-		switch k % 3 {
-		case 1:
-			ec.W()
-		case 2:
+		if k%2 == 1 {
 			ec.WT()
+			if ec.bytes != full {
+				t.Fatalf("size %d: a fully derived entry counts %d bytes, want G + WT = %d", k, ec.bytes, full)
+			}
 		}
 		if k%10 == 0 {
 			if older != nil {
@@ -121,15 +147,15 @@ func TestCostStoreBounded(t *testing.T) {
 // exceeds the budget.
 func TestCostStoreEvictionKeepsHoldersAndFloats(t *testing.T) {
 	g := RandomSizedGrid(stats.NewRand(8), 32)
-	g.costs.budget = 2 * matrixBytes(g.N())
+	g.costs.budget = matrixBytes(g.N())
 	const m = 3<<20 + 17
 	first := g.EdgeCosts(m)
-	firstG, firstW := clone(first.G), clone(first.W())
+	firstG := clone(first.G)
 	if st := g.CostStats(); st.Sizes != 1 || st.Evicted != 0 {
-		t.Fatalf("a lone entry of G and W was disturbed: %+v", st)
+		t.Fatalf("a lone entry of G was disturbed: %+v", st)
 	}
-	first.WT() // the entry alone now exceeds the budget and stays
-	if st := g.CostStats(); st.Sizes != 1 || st.Bytes != 3*matrixBytes(g.N()) {
+	firstWT := clone(first.WT()) // the entry alone now exceeds the budget and stays
+	if st := g.CostStats(); st.Sizes != 1 || st.Bytes != 2*matrixBytes(g.N()) {
 		t.Fatalf("the entry in use was evicted: %+v", st)
 	}
 	g.EdgeCosts(1 << 10)
@@ -140,10 +166,10 @@ func TestCostStoreEvictionKeepsHoldersAndFloats(t *testing.T) {
 	if again == first {
 		t.Fatal("an evicted size was served from the store")
 	}
-	if !sameBits(first.G, firstG) || !sameBits(first.W(), firstW) {
+	if !sameBits(first.G, firstG) || !sameBits(first.WT(), firstWT) {
 		t.Error("eviction disturbed a holder's matrices")
 	}
-	if !sameBits(again.G, firstG) || !sameBits(again.W(), firstW) || !sameBits(again.WT(), first.WT()) {
+	if !sameBits(again.G, firstG) || !sameBits(again.WT(), firstWT) {
 		t.Error("re-costing an evicted size changed its floats")
 	}
 }
@@ -156,7 +182,7 @@ func TestPatchCostsPartialEntries(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		g := RandomSizedGrid(r, 6+r.Intn(10))
 		sizes := []int64{1 << 10, 1 << 16, 1 << 20, 5 << 20}
-		g.EdgeCosts(sizes[1]).W()
+		g.EdgeCosts(sizes[1])
 		g.EdgeCosts(sizes[2]).WT()
 		g.EdgeCosts(sizes[3])
 		g.EdgeCosts(sizes[0]) // most recently used
@@ -173,10 +199,10 @@ func TestPatchCostsPartialEntries(t *testing.T) {
 		}
 		for k, m := range sizes {
 			pc, fc := patched.EdgeCosts(m), fresh.EdgeCosts(m)
-			if (pc.w != nil) != (k == 1 || k == 2) || (pc.wt != nil) != (k == 2) {
-				t.Errorf("m=%d: patched derived W=%v WT=%v, source had other parts", m, pc.w != nil, pc.wt != nil)
+			if (pc.wt != nil) != (k == 2) {
+				t.Errorf("m=%d: patched derived WT=%v, source had other parts", m, pc.wt != nil)
 			}
-			if !sameBits(pc.G, fc.G) || !sameBits(pc.L, fc.L) || !sameBits(pc.W(), fc.W()) || !sameBits(pc.WT(), fc.WT()) {
+			if !sameBits(pc.G, fc.G) || !sameBits(pc.L, fc.L) || !sameBits(pc.WT(), fc.WT()) {
 				t.Fatalf("trial %d m=%d: patched costs differ from fresh costing", trial, m)
 			}
 		}

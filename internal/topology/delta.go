@@ -91,25 +91,21 @@ func (g *Grid) ApplyDelta(d Delta) (*Grid, error) {
 
 // PatchCosts seeds dst's cost store from src's, for a dst that differs
 // from src only in wide-area row and column c (the ApplyDelta contract):
-// for every size resident in src, each matrix src has derived is copied and
-// only its row and column c re-evaluated against dst's parameters, through
-// the same builder EdgeCosts uses. Parts src has not derived stay
-// underived. The latency matrix is patched once and aliased by every size;
-// src's matrices are never written. The result is bitwise identical to dst
+// for every size resident in src, G (and WT where src has derived it) is
+// copied and only its row and column c re-evaluated against dst's
+// parameters, with the expressions EdgeCosts uses. The latency matrix is
+// patched once and aliased by every size; src's matrices are never written. The result is bitwise identical to dst
 // costing each size from scratch — unchanged links carry unchanged
 // parameters, so re-evaluating them would reproduce the exact same floats —
 // at O(n) pLogP evaluations per size instead of O(n²).
 func PatchCosts(src, dst *Grid, c int) {
-	type resident struct {
-		m        int64
-		g, w, wt [][]float64
-	}
 	s := &src.costs
 	s.mu.Lock()
-	var sizes []resident
-	// Least recently used first, so dst's recency order mirrors src's.
+	// Snapshots of the resident entries' size, G and WT, least recently
+	// used first, so dst's recency order mirrors src's.
+	var sizes []EdgeCosts
 	for ec := s.lru.prev; ec != nil && ec != &s.lru; ec = ec.prev {
-		sizes = append(sizes, resident{ec.m, ec.G, ec.w, ec.wt})
+		sizes = append(sizes, EdgeCosts{m: ec.m, G: ec.G, wt: ec.wt})
 	}
 	srcLat := s.lat
 	s.mu.Unlock()
@@ -130,16 +126,13 @@ func PatchCosts(src, dst *Grid, c int) {
 	for _, r := range sizes {
 		m := r.m
 		ec := &EdgeCosts{
-			G:     buildMatrix(n, r.g, c, func(i, j int) float64 { return dst.Gap(i, j, m) }),
+			G:     buildMatrix(n, r.G, c, func(i, j int) float64 { return dst.Gap(i, j, m) }),
 			L:     lat,
 			m:     m,
 			store: d,
 		}
-		if r.w != nil {
-			ec.buildW(r.w, c)
-		}
 		if r.wt != nil {
-			ec.buildWT(r.wt, c)
+			ec.wt = buildMatrix(n, r.wt, c, func(i, j int) float64 { return ec.G[j][i] + ec.L[j][i] })
 		}
 		d.mu.Lock()
 		if d.entries[m] == nil {

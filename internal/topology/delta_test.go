@@ -84,14 +84,18 @@ func TestDeltaValidate(t *testing.T) {
 
 // TestPatchCostsBitwiseIdentical is the contract PatchCosts exists for: the
 // patched cache must be indistinguishable from costing the drifted grid from
-// scratch, float for float.
+// scratch, float for float — for entries of G alone and for fully derived
+// two-matrix entries (G and WT), whose patched WT is compared against a
+// fresh derivation.
 func TestPatchCostsBitwiseIdentical(t *testing.T) {
 	r := stats.NewRand(7)
 	for trial := 0; trial < 5; trial++ {
 		g := RandomSizedGrid(r, 5+r.Intn(8))
 		sizes := []int64{1 << 10, 1 << 20, 3 << 20}
-		for _, m := range sizes {
-			g.EdgeCosts(m)
+		for k, m := range sizes {
+			if ec := g.EdgeCosts(m); k > 0 {
+				ec.WT()
+			}
 		}
 		c := r.Intn(g.N())
 		d := Delta{Cluster: c, OutGapScale: 1.7, OutLatScale: 0.6, InGapScale: 1.1, InLatScale: 2.0}
@@ -124,15 +128,19 @@ func TestPatchCostsBitwiseIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range sizes {
+		for k, m := range sizes {
 			pc, fc := patched.EdgeCosts(m), fresh.EdgeCosts(m)
+			if (pc.wt != nil) != (k > 0) || pc.bytes != int64(1+min(k, 1))*matrixBytes(g.N()) {
+				t.Fatalf("m=%d: patched entry holds WT=%v in %d bytes, source derived WT=%v", m, pc.wt != nil, pc.bytes, k > 0)
+			}
 			for i := 0; i < g.N(); i++ {
 				for j := 0; j < g.N(); j++ {
-					if pc.G[i][j] != fc.G[i][j] || pc.L[i][j] != fc.L[i][j] ||
-						pc.W()[i][j] != fc.W()[i][j] || pc.WT()[i][j] != fc.WT()[i][j] {
-						t.Fatalf("m=%d entry (%d,%d): patched (%g,%g,%g,%g) != fresh (%g,%g,%g,%g)",
-							m, i, j, pc.G[i][j], pc.L[i][j], pc.W()[i][j], pc.WT()[i][j],
-							fc.G[i][j], fc.L[i][j], fc.W()[i][j], fc.WT()[i][j])
+					if math.Float64bits(pc.G[i][j]) != math.Float64bits(fc.G[i][j]) ||
+						math.Float64bits(pc.L[i][j]) != math.Float64bits(fc.L[i][j]) ||
+						math.Float64bits(pc.WT()[i][j]) != math.Float64bits(fc.WT()[i][j]) {
+						t.Fatalf("m=%d entry (%d,%d): patched (%g,%g,%g) != fresh (%g,%g,%g)",
+							m, i, j, pc.G[i][j], pc.L[i][j], pc.WT()[i][j],
+							fc.G[i][j], fc.L[i][j], fc.WT()[i][j])
 					}
 				}
 			}

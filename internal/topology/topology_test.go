@@ -295,8 +295,8 @@ func TestEdgeCostsCachedAndConsistent(t *testing.T) {
 			if a.G[i][j] != g.Gap(i, j, m) || a.L[i][j] != g.Latency(i, j) {
 				t.Fatalf("cached cost %d->%d diverges from direct evaluation", i, j)
 			}
-			if a.W()[i][j] != a.G[i][j]+a.L[i][j] || a.WT()[j][i] != a.W()[i][j] {
-				t.Fatalf("W/WT inconsistent at %d->%d", i, j)
+			if a.WT()[j][i] != a.G[i][j]+a.L[i][j] {
+				t.Fatalf("WT inconsistent at %d->%d", i, j)
 			}
 		}
 	}

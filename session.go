@@ -24,7 +24,7 @@ import (
 )
 
 // enginePools shares recycled scheduling engines (candidate caches, sender
-// heaps, lookahead templates, segmented Gs/Wl transposes) across every
+// heaps, lookahead templates, segmented Gs transposes) across every
 // Session in the process. A sched.EnginePool is not safe for concurrent
 // use, so each Plan call checks one out for its duration; sync.Pool keeps
 // the association per-P in steady state, which is the per-worker reuse
