@@ -501,7 +501,9 @@ func (rp *replayer) sparsePick(p *Problem, s *state, oldTo int) (bi, bj int, ok 
 		}
 	}
 	// Dirty receivers; entries whose term settled back to the traced value
-	// are dropped (a later delta re-adds them if needed).
+	// are dropped (a later delta re-adds them if needed), except where the
+	// traced extremum is the drifted cluster: evalF then recomputes the
+	// term over B, whose members can join A without any delta.
 	for x := 0; x < len(rp.dirty); {
 		j := int(rp.dirty[x])
 		if s.inA[j] || j == ch {
@@ -511,7 +513,7 @@ func (rp *replayer) sparsePick(p *Problem, s *state, oldTo int) (bi, bj int, ok 
 			continue
 		}
 		f := rp.evalF(p, s, j)
-		if f == rp.curF[j] {
+		if f == rp.curF[j] && int(rp.curT[j]) != ch {
 			rp.inD[j] = false
 			rp.dirty[x] = rp.dirty[len(rp.dirty)-1]
 			rp.dirty = rp.dirty[:len(rp.dirty)-1]

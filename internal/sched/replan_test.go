@@ -196,6 +196,10 @@ func FuzzReplanEquivalence(f *testing.F) {
 	f.Add(int64(5), uint8(24), uint8(2), uint8(3), uint8(5), uint8(1), true)
 	f.Add(int64(-3), uint8(13), uint8(12), uint8(2), uint8(7), uint8(2), false)
 	f.Add(int64(99), uint8(29), uint8(1), uint8(4), uint8(29), uint8(3), true)
+	// Receiver 6's traced ECEF-LAT extremum is the drifted cluster 0, tied
+	// with cluster 3; once 3 joins A the drifted term falls with no trace
+	// delta, so the hot replay must keep 6 dirty.
+	f.Add(int64(-38), uint8(96), uint8(77), uint8(110), uint8(120), uint8(60), true)
 	f.Fuzz(func(t *testing.T, seed int64, n8, root8, quant, changed8, fac8 uint8, overlap bool) {
 		p := fuzzProblem(seed, n8, root8, quant, overlap)
 		changed := int(changed8) % p.N
