@@ -313,3 +313,28 @@ func TestDiffFilesWarnsOnLowCount(t *testing.T) {
 		}
 	}
 }
+
+func TestDiffFilesComparesBestBesideRoundSpread(t *testing.T) {
+	// A snapshot carrying benchjson's per-row round spread (rounds, median,
+	// max) diffs against one without it, in either order, on best-of
+	// ns/op: a median far past the tolerance is not a regression.
+	dir := t.TempDir()
+	old := filepath.Join(dir, "BENCH_1.json")
+	new := filepath.Join(dir, "BENCH_2.json")
+	const oldSnap = `{"generated_at":"2026-08-08T12:00:00Z","go_version":"go1.24","count":16,
+  "results":[{"name":"BenchmarkA","iterations":20,"ns_per_op":1000000,"allocs_per_op":10}]}`
+	const newSnap = `{"generated_at":"2026-10-21T12:00:00Z","go_version":"go1.24","count":16,
+  "results":[{"name":"BenchmarkA","iterations":20,"ns_per_op":1010000,"allocs_per_op":10,
+    "rounds":16,"median_ns_per_op":1900000,"max_ns_per_op":2500000}]}`
+	for path, snap := range map[string]string{old: oldSnap, new: newSnap} {
+		if err := os.WriteFile(path, []byte(snap), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pair := range [][2]string{{old, new}, {new, old}} {
+		var md strings.Builder
+		if bad, err := diffFiles(pair[0], pair[1], opts(), false, &md); err != nil || bad != 0 {
+			t.Fatalf("%s -> %s: %d regressed, err %v", pair[0], pair[1], bad, err)
+		}
+	}
+}

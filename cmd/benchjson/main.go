@@ -43,6 +43,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -55,8 +56,16 @@ type Result struct {
 	Name string `json:"name"`
 	// Iterations is b.N of the reported run.
 	Iterations int64 `json:"iterations"`
-	// NsPerOp is the reported ns/op.
+	// NsPerOp is the reported ns/op: the best run's when the transcript
+	// repeats the benchmark.
 	NsPerOp float64 `json:"ns_per_op"`
+	// Rounds is how many runs of the benchmark the transcript held, and
+	// MedianNsPerOp and MaxNsPerOp their median and slowest ns/op, beside
+	// the best in NsPerOp. All three are omitted for a single run, and
+	// snapshots recorded before they existed carry none.
+	Rounds        int     `json:"rounds,omitempty"`
+	MedianNsPerOp float64 `json:"median_ns_per_op,omitempty"`
+	MaxNsPerOp    float64 `json:"max_ns_per_op,omitempty"`
 	// BytesPerOp and AllocsPerOp are present when -benchmem was on.
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
@@ -272,19 +281,34 @@ func Parse(r io.Reader) ([]Result, int, error) {
 
 // mergeBest collapses repeated runs of one benchmark (-count > 1, or a
 // concatenated transcript) into the run with the lowest ns/op — noise only
-// ever adds time — keeping first-seen order.
+// ever adds time — keeping first-seen order, and records the runs' count,
+// median and maximum ns/op beside it.
 func mergeBest(rs []Result) []Result {
 	seen := make(map[string]int, len(rs))
+	var ns [][]float64
 	out := rs[:0]
 	for _, r := range rs {
 		if i, ok := seen[r.Name]; ok {
+			ns[i] = append(ns[i], r.NsPerOp)
 			if r.NsPerOp < out[i].NsPerOp {
 				out[i] = r
 			}
 			continue
 		}
 		seen[r.Name] = len(out)
+		ns = append(ns, []float64{r.NsPerOp})
 		out = append(out, r)
+	}
+	for i, v := range ns {
+		if len(v) < 2 {
+			continue
+		}
+		slices.Sort(v)
+		mid := len(v) / 2
+		out[i].Rounds, out[i].MedianNsPerOp, out[i].MaxNsPerOp = len(v), v[mid], v[len(v)-1]
+		if len(v)%2 == 0 {
+			out[i].MedianNsPerOp = (v[mid-1] + v[mid]) / 2
+		}
 	}
 	return out
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -58,6 +60,56 @@ BenchmarkFoo-4     	      20	      4100 ns/op	      10 allocs/op
 	}
 	if rs[1].Name != "BenchmarkBar" {
 		t.Fatalf("order not preserved: %+v", rs[1])
+	}
+}
+
+func TestParseRecordsRoundSpread(t *testing.T) {
+	// Beside the best, a repeated benchmark records its run count, median
+	// (the mean of the middle two for an even count) and slowest run; a
+	// single run records none of them.
+	const transcript = `BenchmarkFoo 20 3500 ns/op
+BenchmarkBar 20 9000 ns/op
+BenchmarkFoo 20 3011 ns/op
+BenchmarkFoo 20 4100 ns/op
+BenchmarkBaz 20 10 ns/op
+BenchmarkBaz 20 30 ns/op
+`
+	rs, _, err := Parse(strings.NewReader(transcript))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Result{
+		{Name: "BenchmarkFoo", Iterations: 20, NsPerOp: 3011, Rounds: 3, MedianNsPerOp: 3500, MaxNsPerOp: 4100},
+		{Name: "BenchmarkBar", Iterations: 20, NsPerOp: 9000},
+		{Name: "BenchmarkBaz", Iterations: 20, NsPerOp: 10, Rounds: 2, MedianNsPerOp: 20, MaxNsPerOp: 30},
+	}
+	if !reflect.DeepEqual(rs, want) {
+		t.Fatalf("results %+v, want %+v", rs, want)
+	}
+	var buf bytes.Buffer
+	if err := writeReport(&buf, &Report{Results: rs[1:2]}); err != nil {
+		t.Fatal(err)
+	}
+	if s := buf.String(); strings.Contains(s, "rounds") || strings.Contains(s, "median") {
+		t.Fatalf("a single run wrote spread fields:\n%s", s)
+	}
+}
+
+func TestLoadResultsWithoutRoundSpread(t *testing.T) {
+	// Snapshots recorded before the spread fields existed still load, with
+	// the fields zero.
+	path := filepath.Join(t.TempDir(), "BENCH_OLD.json")
+	const snap = `{"generated_at":"2026-08-08T12:00:00Z","go_version":"go1.24","count":16,
+  "results":[{"name":"BenchmarkFoo","iterations":20,"ns_per_op":1500,"allocs_per_op":7}]}`
+	if err := os.WriteFile(path, []byte(snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := LoadResults(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 || rs[0].NsPerOp != 1500 || rs[0].Rounds != 0 || rs[0].MedianNsPerOp != 0 || rs[0].MaxNsPerOp != 0 {
+		t.Fatalf("results = %+v", rs)
 	}
 }
 
