@@ -20,18 +20,18 @@ import (
 //   - Buffer reuse: the candidate caches, sender heaps and lookahead
 //     cursors are allocated once per pool (per cluster count) and reset in
 //     O(N) per schedule, so steady-state scheduling stops allocating.
-//   - Transposes: the receiver cache scans cost columns. W at the last
-//     segment's size it reads transposed from the grid's cost store
-//     (SegmentedProblem.lastWT), at every K; for K > 1 the pool also caches
-//     the transposes of Gs per matrix identity (transposeOf), so ladder
-//     rungs and repeated schedules at one segment size skip the O(N²)
-//     rebuild. At K = 1 no Gs is read at all.
+//   - Transposes: the receiver cache scans cost columns. It reads W at
+//     the last segment's size transposed from the grid's cost store
+//     (SegmentedProblem.lastWT), at every K. For K > 1 the pool also
+//     caches the transposes of Gs per matrix identity (transposeOf), so
+//     ladder rungs and repeated schedules at one segment size skip the
+//     O(N²) rebuild; at K = 1 no Gs is read at all.
 //   - Lookahead templates: the per-receiver lookahead heaps depend only on
 //     W = G + L (and T for the -LAt/-LAT variants) — not on the root,
 //     because the engine already discards members lazily once they join
 //     A. The pool therefore builds each heap over *all* other clusters and
-//     caches it heapified per (G identity, lookahead kind). Builds never copy it:
-//     each keeps one cursor per receiver into the heap's pop order, and
+//     caches it heapified per (G identity, lookahead kind). Builds never
+//     copy it: each keeps one cursor per receiver into the heap's pop order, and
 //     the heap extracts its minima in place, once per template, the first
 //     time any build's cursor reaches them (laHeap.top). Later schedules —
 //     any root, same platform and size, whole-message or segmented — start
@@ -82,18 +82,18 @@ type EnginePool struct {
 // poolBudget bounds the bytes an EnginePool's caches hold: lookahead
 // templates (N·(N−1)·16 B each) and Gs transposes (N²·8 B each). It holds
 // the full default ladder at N = 512 (11 transposes and 3 templates, about
-// 36 MB) and about 500 templates at N = 128. Each entry pins
-// at most one cost matrix of its own size, so what the caches keep alive
-// of evicted cost-store entries is bounded by the same figure. Eviction
+// 36 MB) and about 500 templates at N = 128. Each entry pins at most one
+// cost matrix of its own size, so what the caches keep alive of evicted
+// cost-store entries is bounded by the same figure. Eviction
 // only drops the cache's reference: an engine holding an evicted entry
 // keeps it until it is done.
 const poolBudget = 128 << 20
 
 // cached is one entry of the pool's caches: a lookahead template under
 // tkey, or the transpose tr of one segment-size gap matrix Gs under mkey,
-// the matrix's identity. The matrices alias the grid's cost
-// store and are immutable, and holding the pointer pins them, so a key is
-// never recycled for different values (same argument as laTemplateKey).
+// the matrix's identity. The matrices alias the grid's cost store and are
+// immutable, and holding the pointer pins them, so a key is never recycled
+// for different values (same argument as laTemplateKey).
 // Entries are shared read-only by every engine the pool readies.
 type cached struct {
 	prev, next *cached
@@ -107,11 +107,11 @@ type cached struct {
 // laTemplateKey identifies a cached lookahead template: the full-message G
 // matrix (by identity — the matrix is immutable and shared via the grid's
 // cost store, one per grid and size, so it also fixes the grid's L; holding
-// the pointer pins it, so the key cannot be recycled for different
-// values), the lookahead kind, and whether the T
-// vector is the end-to-end pipeline's TL (whose values also depend on the
-// segmentation, so the exact T-vector guard still applies within a key —
-// the flag only keeps the two modes from evicting each other).
+// the pointer pins it, so the key cannot be recycled for different values),
+// the lookahead kind, and whether the T vector is the end-to-end pipeline's
+// TL (whose values also depend on the segmentation, so the exact T-vector
+// guard still applies within a key — the flag only keeps the two modes from
+// evicting each other).
 type laTemplateKey struct {
 	g     *float64
 	kind  laKind
@@ -315,9 +315,9 @@ func (ep *EnginePool) loadLookahead(ls *lookaheadSet, h ecef, p *Problem, local 
 // ScheduleSegmented builds sp's pipelined schedule with h through the
 // pool's recycled engines, reusing the candidate caches, the Gs transposes
 // and the lookahead templates (the lookahead keys off the full-message G
-// and the effective T vector, so plain-T templates are
-// shared with whole-message builds — any segment size, same platform —
-// while the end-to-end pipeline's TL views get their own key). Heuristics
+// and the effective T vector, so plain-T templates are shared with
+// whole-message builds — any segment size, same platform — while the
+// end-to-end pipeline's TL views get their own key). Heuristics
 // without a native segmented picker re-time their unsegmented tree
 // (h.Schedule) under the per-segment model. Under the end-to-end pipeline
 // the result is never worse than h's coordinator-only schedule at the same
